@@ -2,9 +2,11 @@
 runs, the exact oracle, LP checks, expected-max estimation, and simulation.
 
 All configuration comes through flags; no environment variables are read.
-Exit codes: 0 success, 2 for Infeasible/Fail verdicts (the report carries
-the certificate), 1 for errors. Reports are plain text or CSV written with
-repr-formatted numbers, so a fixed seed reproduces files byte for byte.
+Exit codes: 0 success (including the trivial all-zero-demand case), 2 for
+Infeasible/Fail verdicts (the report carries the certificate), 1 for errors,
+solver failures and instances of the wrong kind. Reports are plain text or
+CSV written with repr-formatted numbers, so a fixed seed reproduces files
+byte for byte.
 """
 
 from __future__ import annotations
@@ -19,16 +21,21 @@ import numpy as np
 from .distributions import ValidationError
 from .instance_io import ParseError, read_instance, write_instance
 from .instances import (
-    ConfigInstance,
     RelatedInstance,
     RoutingInstance,
-    UnrelatedInstance,
+    as_config_instance,
     gen_adaptivity_gap_instance,
     gen_clairvoyance_adversary_instance,
     random_tiny_instance,
     smooth_machines,
 )
-from .lp import Infeasible, solve_lpc, solve_lpp_column_generation
+from .lp import (
+    Infeasible,
+    NoFeasibleTau,
+    NumericalFailure,
+    solve_lpc,
+    solve_lpp_column_generation,
+)
 from .offline import offline_config_balancing, offline_related, offline_routing
 from .online import (
     nonclairvoyant_sqrt_list,
@@ -53,19 +60,6 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VERDICT = 2
-
-
-class ExperimentSpec:
-    """What to run: instance source, algorithm id, thresholds, trials, seed,
-    and where the report goes."""
-
-    def __init__(self, instance_path, algorithm, tau=None, trials=1000, seed=0, out=None):
-        self.instance_path = instance_path
-        self.algorithm = algorithm
-        self.tau = tau
-        self.trials = trials
-        self.seed = seed
-        self.out = out
 
 
 def _fmt(value):
@@ -141,16 +135,6 @@ def cmd_smooth(args):
     return EXIT_OK
 
 
-def _as_config_instance(inst):
-    from .instances import related_to_unrelated, unrelated_to_config
-
-    if isinstance(inst, RelatedInstance):
-        inst = related_to_unrelated(inst)
-    if isinstance(inst, UnrelatedInstance):
-        inst = unrelated_to_config(inst)
-    return inst
-
-
 def cmd_offline(args):
     inst = read_instance(getattr(args, "in"))
     rng = request_stream(args.seed, 0)
@@ -163,7 +147,7 @@ def cmd_offline(args):
             raise ValidationError("offline related expects a related instance")
         _, report = offline_related(inst, rng)
     else:
-        report = offline_config_balancing(_as_config_instance(inst), rng)
+        report = offline_config_balancing(as_config_instance(inst), rng)
     pairs = [
         ("algorithm", args.algo),
         ("seed", args.seed),
@@ -177,7 +161,7 @@ def cmd_offline(args):
     for i, load in enumerate(report.truncated_loads):
         pairs.append((f"truncated_load_{i}", load))
     write_report(report_lines("offline report", pairs), args.report)
-    return EXIT_OK if report.lp_status == "feasible" else EXIT_VERDICT
+    return EXIT_VERDICT if report.lp_status == "infeasible" else EXIT_OK
 
 
 def cmd_online(args):
@@ -204,7 +188,7 @@ def cmd_online(args):
         write_report(report_lines("online report", pairs), args.report)
         return EXIT_OK
     else:
-        run = run_online_config(_as_config_instance(inst))
+        run = run_online_config(as_config_instance(inst))
     pairs = [
         ("algorithm", args.algo),
         ("seed", args.seed),
@@ -285,7 +269,7 @@ def cmd_lp_check(args):
         verdict = solve_lpp_column_generation(inst, tau)
         name = "LP_P"
     else:
-        verdict = solve_lpc(_as_config_instance(inst), tau)
+        verdict = solve_lpc(as_config_instance(inst), tau)
         name = "LP_C"
     if isinstance(verdict, Infeasible):
         print(f"{name} infeasible at tau={tau}: {verdict.reason}")
@@ -406,20 +390,6 @@ def build_parser():
     return parser
 
 
-def run_experiment(spec):
-    """Programmatic entry mirroring the offline subcommand; returns the
-    exit code after writing the report."""
-    args = argparse.Namespace(
-        **{
-            "in": spec.instance_path,
-            "algo": spec.algorithm,
-            "seed": spec.seed,
-            "report": spec.out,
-        }
-    )
-    return cmd_offline(args)
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -430,7 +400,13 @@ def main(argv=None):
         return 0 if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValidationError, ParseError, FileNotFoundError) as exc:
+    except (
+        ValidationError,
+        ParseError,
+        FileNotFoundError,
+        NoFeasibleTau,
+        NumericalFailure,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_ERROR

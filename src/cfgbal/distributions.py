@@ -112,15 +112,6 @@ class DiscreteDistribution:
                 return v
         return self.support[-1][0]
 
-    def quantile(self, u):
-        """Inverse CDF at u in [0, 1); used to couple realizations to one uniform."""
-        acc = 0.0
-        for v, p in self.support:
-            acc += float(p)
-            if u < acc:
-                return v
-        return self.support[-1][0]
-
     def __eq__(self, other):
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented

@@ -13,16 +13,6 @@ import heapq
 REL_TOL = 1e-12
 
 
-def path_vertices(edges, path):
-    """Vertex sequence visited by a path given as edge indices."""
-    if not path:
-        return ()
-    verts = [edges[path[0]][0]]
-    for e in path:
-        verts.append(edges[e][1])
-    return tuple(verts)
-
-
 def path_key(edges, path):
     """Canonical sort key: interleaved vertex and edge-index sequence."""
     if not path:

@@ -21,6 +21,7 @@ from .distributions import (
     point_mass,
     scaled_bernoulli,
 )
+from .graphs import lex_shortest_path, path_key, simple_paths, widest_path_value
 
 
 class NoFeasiblePath(ValidationError):
@@ -245,6 +246,13 @@ class RoutingInstance:
     def n(self):
         return len(self.requests)
 
+    def min_expected_cost(self, j):
+        """E[X_j] over the widest source-sink capacity: the least expected
+        bottleneck load any path can give request j."""
+        source, sink, law = self.requests[j]
+        width = widest_path_value(self.vertices, self.edges, range(self.m), source, sink)
+        return float(law.mean()) / width
+
     def _reachable(self, s, t, edge_ids=None):
         adj = {}
         ids = range(len(self.edges)) if edge_ids is None else edge_ids
@@ -332,36 +340,93 @@ def _invert(s):
     return 1.0 / s
 
 
-class RoutingRequestView:
-    """Implicit configuration view of one routing request at threshold tau.
+def as_config_instance(inst):
+    """Reduce a load-balancing instance to configuration balancing
+    (related -> unrelated -> config); routing instances have no explicit
+    configuration form and are rejected."""
+    if isinstance(inst, RelatedInstance):
+        inst = related_to_unrelated(inst)
+    if isinstance(inst, UnrelatedInstance):
+        inst = unrelated_to_config(inst)
+    if not isinstance(inst, ConfigInstance):
+        raise ValidationError(
+            f"expected a config, unrelated or related instance, got {inst.kind}"
+        )
+    return inst
 
-    Holds the admissible edge set E_j = {e : E[X_ej] <= tau}; paths are
+
+class RoutingRequestView:
+    """Implicit configuration view of one routing request at threshold tau,
+    holding the routing cost model the LP, online and offline layers share.
+
+    The admissible edges are E_j = {e : E[X_j] / c_e <= tau}, tested in
+    floats; truncated[e] is E[X_ej^T] for each admissible edge; the
+    exceptional part of a path sits at its bottleneck edge. Paths are
     enumerated lazily, never materialized as a configuration list.
     """
 
-    __slots__ = ("instance", "index", "source", "sink", "law", "tau", "edge_ids")
+    __slots__ = (
+        "instance", "index", "source", "sink", "law", "tau", "edge_ids",
+        "truncated", "_exceptional",
+    )
 
     def __init__(self, instance, index, tau):
         self.instance = instance
         self.index = index
         self.source, self.sink, self.law = instance.requests[index]
         self.tau = tau
-        mean = self.law.mean()
+        mean, t = float(self.law.mean()), float(tau)
         self.edge_ids = tuple(
-            e
-            for e, (_, _, cap) in enumerate(instance.edges)
-            if mean * _invert(cap) <= tau
+            e for e, (_, _, cap) in enumerate(instance.edges) if mean / float(cap) <= t
         )
         if not instance._reachable(self.source, self.sink, self.edge_ids):
             raise NoFeasiblePath(
                 f"request {index}: admissible edges disconnect {self.source} -> {self.sink}"
             )
+        self.truncated = {
+            e: float(self.law.scale(1.0 / float(instance.edges[e][2])).truncated_mean(tau))
+            for e in self.edge_ids
+        }
+        self._exceptional = {}  # bottleneck capacity -> exceptional part
+
+    def exceptional(self, path):
+        """E[max_{e in P} X_ej^E] = exceptional part at the bottleneck edge."""
+        c_min = min(float(self.instance.edges[e][2]) for e in path)
+        exc = self._exceptional.get(c_min)
+        if exc is None:
+            exc = float(self.law.scale(1.0 / c_min).exceptional_mean(self.tau))
+            self._exceptional[c_min] = exc
+        return exc
+
+    def best_path(self, weights, score):
+        """Bottleneck-capacity guessing: for each distinct admissible
+        capacity, in edge order, the lex-shortest path under weights over the
+        admissible edges at or above it. Returns (path, score(path)) for the
+        candidate minimizing (score, canonical path key), the first candidate
+        winning ties, or None if no guess yields a path."""
+        r = self.instance
+        best = None
+        seen_caps = set()
+        for ebar in self.edge_ids:
+            cap = float(r.edges[ebar][2])
+            if cap in seen_caps:
+                continue
+            seen_caps.add(cap)
+            sub = tuple(e for e in self.edge_ids if float(r.edges[e][2]) >= cap)
+            path = lex_shortest_path(r.vertices, r.edges, sub, weights, self.source, self.sink)
+            if path is None:
+                continue
+            value = score(path)
+            key = (value, path_key(r.edges, path))
+            if best is None or key < best[0]:
+                best = (key, path, value)
+        if best is None:
+            return None
+        return best[1], best[2]
 
     def paths(self):
         """Yield simple source-sink paths as tuples of edge ids, in
         lexicographic order of the (vertex, edge) sequence."""
-        from .graphs import simple_paths
-
         yield from simple_paths(
             self.instance.vertices,
             self.instance.edges,

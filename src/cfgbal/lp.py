@@ -14,8 +14,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .distributions import check_tau
-from .graphs import lex_shortest_path, path_key
-from .instances import NoFeasiblePath, routing_to_config
+from .graphs import lex_shortest_path
+from .instances import NoFeasiblePath, RoutingRequestView, routing_to_config
 
 FEAS_TOL = 1e-9
 
@@ -274,56 +274,14 @@ def min_feasible_tau(inst, lo=0.0, hi=None, eps=1e-3):
 # routing: dual separation oracle and primal column generation
 
 
-def _admissible_edges(r, j, tau):
-    mean = float(r.requests[j][2].mean())
-    return tuple(
-        e for e, (_, _, cap) in enumerate(r.edges) if mean / float(cap) <= float(tau)
+def _min_price_path(view, b, c_coef):
+    """Minimize sum_e b_e E[X^T_ej] + c * exc(P) over the view's admissible
+    paths. Returns (path, value), or None if no path exists."""
+    weights = {e: b[e] * w for e, w in view.truncated.items()}
+    return view.best_path(
+        weights,
+        lambda path: sum(weights[e] for e in path) + c_coef * view.exceptional(path),
     )
-
-
-def _truncated_weights(r, j, tau):
-    """E[X_ej^T] per edge for request j."""
-    law = r.requests[j][2]
-    out = {}
-    for e, (_, _, cap) in enumerate(r.edges):
-        out[e] = float(law.scale(1.0 / float(cap)).truncated_mean(tau))
-    return out
-
-
-def _path_exceptional(r, j, tau, path):
-    """E[max_{e in P} X_ej^E] = exceptional part at the bottleneck edge."""
-    law = r.requests[j][2]
-    c_min = min(float(r.edges[e][2]) for e in path)
-    return float(law.scale(1.0 / c_min).exceptional_mean(tau))
-
-
-def _min_price_path(r, j, tau, edge_ids, b, c_coef):
-    """Minimize sum_e b_e E[X^T_ej] + c * exc(P) over admissible paths by
-    guessing the bottleneck edge and solving a shortest-path problem per
-    guess. Returns (path, value) or (None, None) if no path exists."""
-    s, t, _ = r.requests[j]
-    trunc = _truncated_weights(r, j, tau)
-    best = None
-    seen_caps = set()
-    for ebar in edge_ids:
-        cap = float(r.edges[ebar][2])
-        if cap in seen_caps:
-            continue
-        seen_caps.add(cap)
-        sub = tuple(e for e in edge_ids if float(r.edges[e][2]) >= cap)
-        weights = {e: b[e] * trunc[e] for e in sub}
-        path = lex_shortest_path(r.vertices, r.edges, sub, weights, s, t)
-        if path is None:
-            continue
-        value = sum(b[e] * trunc[e] for e in path) + c_coef * _path_exceptional(
-            r, j, tau, path
-        )
-        key = (value, path_key(r.edges, path))
-        if best is None or key < best[0]:
-            best = (key, path, value)
-    if best is None:
-        return None, None
-    return best[1], best[2]
 
 
 def separation_oracle_dp(r, tau, point, tol=FEAS_TOL):
@@ -337,17 +295,21 @@ def separation_oracle_dp(r, tau, point, tol=FEAS_TOL):
     if point.c < 0:
         return ViolatedConstraint("nonneg_c", value=point.c)
     for j in range(r.n):
-        edge_ids = _admissible_edges(r, j, tau)
-        path, value = _min_price_path(r, j, tau, edge_ids, point.b, point.c)
-        if path is None:
+        try:
+            view = RoutingRequestView(r, j, tau)
+        except NoFeasiblePath:
             continue
+        best = _min_price_path(view, point.b, point.c)
+        if best is None:
+            continue
+        path, value = best
         lhs = point.a[j] + value
         if lhs < -tol:
             return ViolatedConstraint("path", request=j, path=path, value=lhs)
     return FEASIBLE
 
 
-def _routing_master(r, tau, columns):
+def _routing_master(r, tau, views, columns):
     """Phase-1 master LP for a restricted column set; returns scipy result
     plus row bookkeeping."""
     t = float(tau)
@@ -363,11 +325,10 @@ def _routing_master(r, tau, columns):
     n_ub = r.m + 1
     a_ub = np.zeros((n_ub, n))
     b_ub = np.full(n_ub, t)
-    trunc = [_truncated_weights(r, j, tau) for j in range(r.n)]
     for k, (j, path) in enumerate(cols):
         for e in path:
-            a_ub[e, k] += trunc[j][e]
-        a_ub[r.m, k] = _path_exceptional(r, j, tau, path)
+            a_ub[e, k] += views[j].truncated[e]
+        a_ub[r.m, k] = views[j].exceptional(path)
     cost = np.concatenate([np.zeros(n_struct), np.ones(r.n)])
     res = linprog(
         cost,
@@ -397,16 +358,13 @@ def solve_lpp_column_generation(r, tau, tol=FEAS_TOL, max_rounds=200):
         views = routing_to_config(r, tau)
     except NoFeasiblePath as exc:
         return Infeasible(str(exc))
-    columns = []
-    for j, view in enumerate(views):
-        trunc = _truncated_weights(r, j, tau)
-        seed = lex_shortest_path(
-            r.vertices, r.edges, view.edge_ids, trunc, view.source, view.sink
-        )
-        columns.append({seed})
+    columns = [
+        {lex_shortest_path(r.vertices, r.edges, v.edge_ids, v.truncated, v.source, v.sink)}
+        for v in views
+    ]
 
     for _ in range(max_rounds):
-        res, cols, n_struct = _routing_master(r, tau, columns)
+        res, cols, n_struct = _routing_master(r, tau, views, columns)
         if res.fun <= tol:
             weights = {j: [] for j in range(r.n)}
             for k, (j, path) in enumerate(cols):
@@ -421,9 +379,10 @@ def solve_lpp_column_generation(r, tau, tol=FEAS_TOL, max_rounds=200):
         c_coef = -y_ub[r.m]
         added = False
         for j, view in enumerate(views):
-            path, value = _min_price_path(r, j, tau, view.edge_ids, b, c_coef)
-            if path is None:
+            best = _min_price_path(view, b, c_coef)
+            if best is None:
                 continue
+            path, value = best
             # column improves iff its phase-1 reduced cost is negative
             if value < y_eq[j] - tol and path not in columns[j]:
                 columns[j].add(path)

@@ -9,8 +9,9 @@ a lower bound.
 
 from __future__ import annotations
 
-from .distributions import check_tau
+from .distributions import ValidationError, check_tau
 from .instances import (
+    RoutingRequestView,
     related_to_unrelated,
     smooth_machines,
     unrelated_to_config,
@@ -124,12 +125,9 @@ def offline_config_balancing(inst, rng, eps=1e-3, tau=None):
 
 def min_feasible_tau_routing(r, eps=1e-3):
     """Binary search over column-generation feasibility of the path LP."""
-    from .graphs import widest_path_value
-
     hi = 0.0
-    for source, sink, law in r.requests:
-        width = widest_path_value(r.vertices, r.edges, range(r.m), source, sink)
-        hi += float(law.mean()) / width
+    for j in range(r.n):
+        hi += r.min_expected_cost(j)
     if hi <= 0:
         return 0.0
     if isinstance(solve_lpp_column_generation(r, hi), Infeasible):
@@ -150,12 +148,10 @@ def routing_assignment_loads(r, assignment, tau):
     loads = [0.0] * r.m
     exc = 0.0
     for j, path in assignment.items():
-        law = r.requests[j][2]
-        c_min = min(float(r.edges[e][2]) for e in path)
-        exc += float(law.scale(1.0 / c_min).exceptional_mean(tau))
+        view = RoutingRequestView(r, j, tau)
+        exc += view.exceptional(path)
         for e in path:
-            cap = float(r.edges[e][2])
-            loads[e] += float(law.scale(1.0 / cap).truncated_mean(tau))
+            loads[e] += view.truncated[e]
     return loads, exc
 
 
@@ -165,7 +161,7 @@ def offline_routing(r, rng, eps=1e-3, tau=None):
     if tau is None:
         tau = min_feasible_tau_routing(r, eps=eps)
     if tau <= 0:
-        raise ValueError("degenerate routing instance with zero demand")
+        raise ValidationError("degenerate routing instance with zero demand")
     sol = solve_lpp_column_generation(r, tau)
     if isinstance(sol, Infeasible):
         return OfflineReport(tau, "infeasible", {}, [], 0.0, tau / 2.0)

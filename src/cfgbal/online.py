@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 
 from .distributions import check_tau
-from .graphs import lex_shortest_path, path_key
-from .instances import smooth_machines
+from .instances import NoFeasiblePath, RoutingRequestView, smooth_machines
 
 
 def potential(loads, tau):
@@ -325,66 +324,34 @@ def run_online_related(related, realize, lam0=None):
 # routing
 
 
-def route_candidates(r, state, j, tau):
-    """Candidate paths of the online routing step: for each admissible
-    bottleneck guess, the lex-shortest path under the potential's truncated
-    edge weights."""
-    source, sink, law = r.requests[j]
-    mean = float(law.mean())
-    edge_ids = tuple(
-        e for e, (_, _, cap) in enumerate(r.edges) if mean / float(cap) <= float(tau)
-    )
-    t = float(tau)
-    trunc = {}
-    weights = {}
-    for e in edge_ids:
-        cap = float(r.edges[e][2])
-        xt = float(law.scale(1.0 / cap).truncated_mean(tau))
-        trunc[e] = xt
-        L = state.loads[e + 1]
-        weights[e] = 1.5 ** ((L + xt) / t) - 1.5 ** (L / t)
-    candidates = []
-    seen_caps = set()
-    for ebar in edge_ids:
-        cap = float(r.edges[ebar][2])
-        if cap in seen_caps:
-            continue
-        seen_caps.add(cap)
-        sub = tuple(e for e in edge_ids if float(r.edges[e][2]) >= cap)
-        path = lex_shortest_path(r.vertices, r.edges, sub, weights, source, sink)
-        if path is not None:
-            candidates.append(path)
-    return candidates, trunc, weights
-
-
-def path_delta_phi(r, state, law, tau, path, trunc, weights):
-    """Exact potential increase of routing along path: exceptional part at
-    the bottleneck edge plus the per-edge truncated terms."""
-    t = float(tau)
-    c_min = min(float(r.edges[e][2]) for e in path)
-    exc = float(law.scale(1.0 / c_min).exceptional_mean(tau))
-    L0 = state.loads[0]
-    d = 1.5 ** ((L0 + exc) / t) - 1.5 ** (L0 / t)
-    d += sum(weights[e] for e in path)
-    return d, exc
-
-
 def online_route_step(r, state, j):
     """Choose the admissible path minimizing the potential increase; ties go
     to the canonically smallest path. None (Fail) when no admissible path
     exists or the chosen path breaches the ell*tau cap."""
-    source, sink, law = r.requests[j]
     tau = state.tau
-    candidates, trunc, weights = route_candidates(r, state, j, tau)
-    if not candidates:
+    try:
+        view = RoutingRequestView(r, j, tau)
+    except NoFeasiblePath:
         return None
-    best = None
-    for path in candidates:
-        d, exc = path_delta_phi(r, state, law, tau, path, trunc, weights)
-        key = (d, path_key(r.edges, path))
-        if best is None or key < best[0]:
-            best = (key, path, d, exc)
-    _, path, dphi, exc = best
+    t = float(tau)
+    trunc = view.truncated
+    weights = {}
+    for e, xt in trunc.items():
+        L = state.loads[e + 1]
+        weights[e] = 1.5 ** ((L + xt) / t) - 1.5 ** (L / t)
+    L0 = state.loads[0]
+
+    def dphi_of(path):
+        exc = view.exceptional(path)
+        d = 1.5 ** ((L0 + exc) / t) - 1.5 ** (L0 / t)
+        d += sum(weights[e] for e in path)
+        return d
+
+    best = view.best_path(weights, dphi_of)
+    if best is None:
+        return None
+    path, dphi = best
+    exc = view.exceptional(path)
     cap = state.ell * state.tau
     if state.loads[0] + exc > cap:
         return None
@@ -409,13 +376,7 @@ class RouteBalancer:
         return PotentialState.fresh(self.r.m, lam)
 
     def min_expected_cost(self, j):
-        from .graphs import widest_path_value
-
-        source, sink, law = self.r.requests[j]
-        width = widest_path_value(
-            self.r.vertices, self.r.edges, range(self.r.m), source, sink
-        )
-        return float(law.mean()) / width
+        return self.r.min_expected_cost(j)
 
     def first_positive_cost(self, stream):
         for j in stream:

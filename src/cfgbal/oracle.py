@@ -13,13 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .distributions import check_tau
-from .instances import (
-    ConfigInstance,
-    RelatedInstance,
-    UnrelatedInstance,
-    related_to_unrelated,
-    unrelated_to_config,
-)
+from .instances import as_config_instance
 
 
 class StateSpaceExceeded(RuntimeError):
@@ -56,13 +50,7 @@ class PolicyValue:
 def to_config_instance(inst):
     """Accept any load-balancing instance; reduce to configuration
     balancing with exact rational data."""
-    if isinstance(inst, RelatedInstance):
-        inst = related_to_unrelated(inst)
-    if isinstance(inst, UnrelatedInstance):
-        inst = unrelated_to_config(inst)
-    if not isinstance(inst, ConfigInstance):
-        raise TypeError(f"oracle cannot handle {type(inst).__name__}")
-    return inst.exact()
+    return as_config_instance(inst).exact()
 
 
 class AdaptiveOracle:

@@ -4,7 +4,14 @@ import pytest
 
 from cfgbal.cli import main
 from cfgbal.instance_io import read_instance, write_instance
-from cfgbal.instances import gen_adaptivity_gap_instance
+from cfgbal.distributions import point_mass
+from cfgbal.instances import (
+    Configuration,
+    ConfigInstance,
+    Request,
+    RoutingInstance,
+    gen_adaptivity_gap_instance,
+)
 
 
 def run_cli(*argv):
@@ -69,6 +76,36 @@ class TestVerdictsAndErrors:
 
     def test_missing_file_exits_1(self):
         assert run_cli("oracle", "--in", "/nonexistent.json", "--what", "opt") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("offline", "--algo", "config"),
+            ("online", "--algo", "config"),
+            ("oracle", "--what", "opt"),
+        ],
+    )
+    def test_routing_file_for_config_command_exits_1(self, tmp_path, capsys, argv):
+        src = tmp_path / "routing.json"
+        write_instance(RoutingInstance(2, [(0, 1, 1)], [(0, 1, point_mass(1))]), src)
+        assert run_cli(*argv, "--in", str(src)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_trivial_config_exits_0(self, tmp_path, capsys):
+        src = tmp_path / "zero.json"
+        write_instance(
+            ConfigInstance(1, [Request(0, [Configuration([1], point_mass(0))])]), src
+        )
+        assert run_cli("offline", "--in", str(src), "--algo", "config") == 0
+        assert "lp_status: trivial" in capsys.readouterr().out
+
+    def test_zero_demand_routing_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "zero.json"
+        write_instance(RoutingInstance(2, [(0, 1, 1)], [(0, 1, point_mass(0))]), src)
+        assert run_cli("offline", "--in", str(src), "--algo", "routing") == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestReports:

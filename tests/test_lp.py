@@ -24,7 +24,8 @@ from cfgbal.lp import (
     solve_lpp_column_generation,
 )
 from cfgbal.oracle import optimal_adaptive, to_config_instance
-from cfgbal.instances import gen_adaptivity_gap_instance
+from cfgbal.instances import gen_adaptivity_gap_instance, routing_to_config
+from cfgbal.online import PotentialState, online_route_step
 
 from conftest import full_path_lp, random_dag_routing, tiny_suite
 
@@ -224,6 +225,20 @@ class TestColumnGeneration:
         _assert_lpp_solution_valid(r, tau, sol)
         used_paths = {p for j, entries in sol.items() for p, w in entries if w > 1e-6}
         assert (1, 2) in used_paths  # the priced-in two-hop path carries weight
+
+
+class TestOneAdmissibilityRule:
+    def test_float_boundary_admits_edge_everywhere(self):
+        # E[X]/c = 1/3 equals the float tau but exceeds it exactly; every
+        # layer must apply the same (float) rule and admit the edge
+        r = RoutingInstance(2, [(0, 1, 3)], [(0, 1, point_mass(1))])
+        tau = 1 / 3
+        assert routing_to_config(r, tau)[0].edge_ids == (0,)
+        path, _, _ = online_route_step(r, PotentialState.fresh(1, tau / 2), 0)
+        assert path == (0,)
+        verdict = separation_oracle_dp(r, tau, DualPoint([-1.0], [0.0], 0.0))
+        assert verdict.kind == "path" and verdict.path == (0,)
+        assert not isinstance(solve_lpp_column_generation(r, tau), Infeasible)
 
 
 def _assert_lpp_solution_valid(r, tau, sol):
