@@ -34,6 +34,12 @@ def check_tau(tau):
     return tau
 
 
+def check_factor(factor):
+    if factor <= 0:
+        raise ValidationError(f"scale factor must be positive, got {factor}")
+    return factor
+
+
 class DiscreteDistribution:
     """Finite-support nonnegative random variable.
 
@@ -86,20 +92,41 @@ class DiscreteDistribution:
     def mean(self):
         return sum(v * p for v, p in self.support)
 
-    def truncated_mean(self, tau):
-        """E[X * 1{X < tau}]; mass at tau itself is exceptional."""
-        check_tau(tau)
-        return sum(v * p for v, p in self.support if v < tau)
+    def truncated_mean(self, tau, factor=1):
+        """E[aX * 1{aX < tau}] for a = factor > 0; mass at tau itself is
+        exceptional.
 
-    def exceptional_mean(self, tau):
-        """E[X * 1{X >= tau}]."""
+        With exceptional_mean, the tail kernel every layer prices with: one
+        scan of the support, no scaled copy. Each term is (v * a) * p,
+        summed by sum() in support order, so the result equals, in value and
+        type, the truncated mean of the copy self.scale(a) whenever that copy
+        can be built (scale rejects a factor that merges support points, e.g.
+        by underflow to 0.0; the kernel does not need the copy).
+        """
+        check_factor(factor)
         check_tau(tau)
-        return sum(v * p for v, p in self.support if v >= tau)
+        terms = []
+        for v, p in self.support:
+            x = v * factor
+            if x < tau:
+                terms.append(x * p)
+        return sum(terms)
+
+    def exceptional_mean(self, tau, factor=1):
+        """E[aX * 1{aX >= tau}] for a = factor > 0, term for term as
+        truncated_mean."""
+        check_factor(factor)
+        check_tau(tau)
+        terms = []
+        for v, p in self.support:
+            x = v * factor
+            if x >= tau:
+                terms.append(x * p)
+        return sum(terms)
 
     def scale(self, factor):
         """Distribution of factor * X for factor > 0."""
-        if factor <= 0:
-            raise ValidationError(f"scale factor must be positive, got {factor}")
+        check_factor(factor)
         return DiscreteDistribution([(v * factor, p) for v, p in self.support])
 
     def sample(self, rng):

@@ -29,9 +29,15 @@ class NoFeasiblePath(ValidationError):
 
 
 class Configuration:
-    """One choice for a request: per-resource multipliers times a scalar law."""
+    """One choice for a request: per-resource multipliers times a scalar law.
 
-    __slots__ = ("multipliers", "law")
+    The tau-independent pieces (the resources with nonzero multipliers and
+    the largest multiplier) are computed once. Nonzero resources are kept as
+    bare indices: (i, a) pairs would double the memory of a sparse
+    configuration.
+    """
+
+    __slots__ = ("multipliers", "law", "max_multiplier", "_nonzero")
 
     def __init__(self, multipliers, law):
         mults = tuple(multipliers)
@@ -42,10 +48,8 @@ class Configuration:
                 raise ValidationError(f"negative multiplier {a}")
         self.multipliers = mults
         self.law = law
-
-    @property
-    def max_multiplier(self):
-        return max(self.multipliers)
+        self.max_multiplier = max(mults)
+        self._nonzero = tuple(i for i, a in enumerate(mults) if a != 0)
 
     def expected_max(self):
         """E[max_i X_i(c)] = (max_i a_i) * E[X]."""
@@ -56,22 +60,40 @@ class Configuration:
         a = self.max_multiplier
         if a == 0:
             return 0
-        return self.law.scale(a).exceptional_mean(tau)
+        return self.law.exceptional_mean(tau, a)
 
     def expected_truncated(self, i, tau):
         """E[X_i^T(c)] for resource i; truncation is per coordinate."""
         a = self.multipliers[i]
         if a == 0:
             return 0
-        return self.law.scale(a).truncated_mean(tau)
+        return self.law.truncated_mean(tau, a)
 
-    def truncated_loads(self, tau):
-        return tuple(self.expected_truncated(i, tau) for i in range(len(self.multipliers)))
+    def tails(self, tau):
+        """(expected_max_exceptional, [(i, expected_truncated(i)) for every
+        a_i != 0]) at tau, with one truncated-mean scan per distinct nonzero
+        multiplier (keyed by type as well, since 1 and 1.0 scale a rational
+        law into different types)."""
+        law, mults = self.law, self.multipliers
+        by_multiplier = {}
+        truncated = []
+        for i in self._nonzero:
+            a = mults[i]
+            key = (a.__class__, a)
+            v = by_multiplier.get(key)
+            if v is None:
+                v = by_multiplier[key] = law.truncated_mean(tau, a)
+            truncated.append((i, v))
+        return self.expected_max_exceptional(tau), truncated
 
     def proxy_vector(self, tau):
         """Deterministic proxy (x_0, x_1, ..., x_m): exceptional part on the
         virtual resource 0, truncated expectations elsewhere."""
-        return (self.expected_max_exceptional(tau),) + self.truncated_loads(tau)
+        exceptional, truncated = self.tails(tau)
+        loads = [0] * len(self.multipliers)
+        for i, v in truncated:
+            loads[i] = v
+        return (exceptional, *loads)
 
     def exact(self):
         return Configuration([as_exact(a) for a in self.multipliers], self.law.exact())
@@ -224,6 +246,7 @@ class RoutingInstance:
                 raise ValidationError(f"edge ({tail},{head}) capacity must be positive")
             eds.append((tail, head, cap))
         self.edges = tuple(eds)
+        self.capacities = tuple(float(cap) for _, _, cap in eds)
         reqs = []
         for source, sink, law in requests:
             source, sink = int(source), int(sink)
@@ -360,9 +383,10 @@ class RoutingRequestView:
     holding the routing cost model the LP, online and offline layers share.
 
     The admissible edges are E_j = {e : E[X_j] / c_e <= tau}, tested in
-    floats; truncated[e] is E[X_ej^T] for each admissible edge; the
-    exceptional part of a path sits at its bottleneck edge. Paths are
-    enumerated lazily, never materialized as a configuration list.
+    floats; truncated[e] is E[X_ej^T] for each admissible edge, priced once
+    per distinct capacity; the exceptional part of a path sits at its
+    bottleneck edge. Paths are enumerated lazily, never materialized as a
+    configuration list.
     """
 
     __slots__ = (
@@ -375,26 +399,26 @@ class RoutingRequestView:
         self.index = index
         self.source, self.sink, self.law = instance.requests[index]
         self.tau = tau
+        caps = instance.capacities
         mean, t = float(self.law.mean()), float(tau)
-        self.edge_ids = tuple(
-            e for e, (_, _, cap) in enumerate(instance.edges) if mean / float(cap) <= t
-        )
+        self.edge_ids = tuple(e for e in range(instance.m) if mean / caps[e] <= t)
         if not instance._reachable(self.source, self.sink, self.edge_ids):
             raise NoFeasiblePath(
                 f"request {index}: admissible edges disconnect {self.source} -> {self.sink}"
             )
-        self.truncated = {
-            e: float(self.law.scale(1.0 / float(instance.edges[e][2])).truncated_mean(tau))
-            for e in self.edge_ids
-        }
+        by_cap = {}
+        for e in self.edge_ids:
+            if caps[e] not in by_cap:
+                by_cap[caps[e]] = float(self.law.truncated_mean(tau, 1.0 / caps[e]))
+        self.truncated = {e: by_cap[caps[e]] for e in self.edge_ids}
         self._exceptional = {}  # bottleneck capacity -> exceptional part
 
     def exceptional(self, path):
         """E[max_{e in P} X_ej^E] = exceptional part at the bottleneck edge."""
-        c_min = min(float(self.instance.edges[e][2]) for e in path)
+        c_min = min(self.instance.capacities[e] for e in path)
         exc = self._exceptional.get(c_min)
         if exc is None:
-            exc = float(self.law.scale(1.0 / c_min).exceptional_mean(self.tau))
+            exc = float(self.law.exceptional_mean(self.tau, 1.0 / c_min))
             self._exceptional[c_min] = exc
         return exc
 
@@ -407,12 +431,13 @@ class RoutingRequestView:
         r = self.instance
         best = None
         seen_caps = set()
+        caps = r.capacities
         for ebar in self.edge_ids:
-            cap = float(r.edges[ebar][2])
+            cap = caps[ebar]
             if cap in seen_caps:
                 continue
             seen_caps.add(cap)
-            sub = tuple(e for e in self.edge_ids if float(r.edges[e][2]) >= cap)
+            sub = tuple(e for e in self.edge_ids if caps[e] >= cap)
             path = lex_shortest_path(r.vertices, r.edges, sub, weights, self.source, self.sink)
             if path is None:
                 continue

@@ -193,35 +193,39 @@ def build_lpc(inst, tau):
     """LP_C at threshold tau: per-request convex weights, per-resource
     truncated rows, one total-exceptional row; configurations with
     E[max_i X_i(c)] > tau are pruned (excluded, so their weight is exactly
-    zero). Returns (LinearProgram, var_map) with var_map[k] = (j, c)."""
+    zero). Returns (LinearProgram, var_map) with var_map[k] = (j, c).
+
+    One pass over the configurations fills every row; a configuration
+    touches only the rows of its nonzero multipliers."""
     check_tau(tau)
     t = float(tau)
     var_map = []
     names = []
+    req_rows = [{} for _ in inst.requests]
+    trunc_rows = [{} for _ in range(inst.m)]
+    exc_row = {}
     for j, req in enumerate(inst.requests):
         for c, config in enumerate(req.configs):
             if float(config.expected_max()) > t:
                 continue
+            k = len(var_map)
             var_map.append((j, c))
             names.append(f"y_{j}_{c}")
-    lp = LinearProgram(names)
-    col_of = {jc: k for k, jc in enumerate(var_map)}
-    for j, req in enumerate(inst.requests):
-        cols = {col_of[(j, c)]: 1.0 for c in range(len(req.configs)) if (j, c) in col_of}
-        lp.add_row(cols, "=", 1.0, f"req_{j}")
-    for i in range(inst.m):
-        coeffs = {}
-        for k, (j, c) in enumerate(var_map):
-            v = float(inst.requests[j].configs[c].expected_truncated(i, tau))
+            req_rows[j][k] = 1.0
+            exceptional, truncated = config.tails(tau)
+            for i, v in truncated:
+                v = float(v)
+                if v:
+                    trunc_rows[i][k] = v
+            v = float(exceptional)
             if v:
-                coeffs[k] = v
+                exc_row[k] = v
+    lp = LinearProgram(names)
+    for j, coeffs in enumerate(req_rows):
+        lp.add_row(coeffs, "=", 1.0, f"req_{j}")
+    for i, coeffs in enumerate(trunc_rows):
         lp.add_row(coeffs, "<=", t, f"trunc_{i}")
-    coeffs = {}
-    for k, (j, c) in enumerate(var_map):
-        v = float(inst.requests[j].configs[c].expected_max_exceptional(tau))
-        if v:
-            coeffs[k] = v
-    lp.add_row(coeffs, "<=", t, "exc")
+    lp.add_row(exc_row, "<=", t, "exc")
     return lp, var_map
 
 

@@ -89,21 +89,16 @@ def assignment_loads(inst, assignment, tau):
     loads = [0.0] * inst.m
     exc = 0.0
     for j, req in enumerate(inst.requests):
-        config = req.configs[assignment[j]]
-        for i in range(inst.m):
-            loads[i] += float(config.expected_truncated(i, tau))
-        exc += float(config.expected_max_exceptional(tau))
+        exceptional, truncated = req.configs[assignment[j]].tails(tau)
+        for i, v in truncated:
+            loads[i] += float(v)
+        exc += float(exceptional)
     return loads, exc
 
 
-def offline_config_balancing(inst, rng, eps=1e-3, tau=None):
-    """Algorithm: binary-search tau*, solve LP_C, round independently.
-
-    With an explicit tau the search is skipped (used by the related-machines
-    wrapper, which fixes the threshold externally).
-    """
-    if tau is None:
-        tau = min_feasible_tau(inst, eps=eps)
+def offline_config_balancing(inst, rng, eps=1e-3):
+    """Algorithm: binary-search tau*, solve LP_C, round independently."""
+    tau = min_feasible_tau(inst, eps=eps)
     if tau <= 0:
         # every request has a zero-cost configuration
         assignment = {
@@ -155,11 +150,10 @@ def routing_assignment_loads(r, assignment, tau):
     return loads, exc
 
 
-def offline_routing(r, rng, eps=1e-3, tau=None):
+def offline_routing(r, rng, eps=1e-3):
     """Offline routing: tau search via column generation, then independent
     rounding of the path weights."""
-    if tau is None:
-        tau = min_feasible_tau_routing(r, eps=eps)
+    tau = min_feasible_tau_routing(r, eps=eps)
     if tau <= 0:
         raise ValidationError("degenerate routing instance with zero demand")
     sol = solve_lpp_column_generation(r, tau)

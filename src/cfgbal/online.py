@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .distributions import check_tau
+from .distributions import ValidationError, check_tau
 from .instances import NoFeasiblePath, RoutingRequestView, smooth_machines
 
 
@@ -145,7 +145,7 @@ def guess_and_double(stream, inner, lam0=None):
     otherwise never escape the doubling)."""
     stream = list(stream)
     if not stream:
-        raise ValueError("empty request stream")
+        raise ValidationError("empty request stream")
     lam = float(lam0) if lam0 is not None else inner.min_expected_cost(stream[0])
     if lam <= 0:
         lam = inner.first_positive_cost(stream)
@@ -218,10 +218,10 @@ def related_group_proxies(groups, law, tau):
     proxies = []
     m_prime = len(groups)
     for c, (speed, count, _) in enumerate(groups):
-        scaled = law.scale(1.0 / float(speed))
+        factor = 1.0 / float(speed)
         x = [0.0] * (m_prime + 1)
-        x[0] = float(scaled.exceptional_mean(tau))
-        x[c + 1] = float(scaled.truncated_mean(tau)) / count
+        x[0] = float(law.exceptional_mean(tau, factor))
+        x[c + 1] = float(law.truncated_mean(tau, factor)) / count
         proxies.append(tuple(x))
     return proxies
 

@@ -101,6 +101,21 @@ class TestVerdictsAndErrors:
         assert run_cli("offline", "--in", str(src), "--algo", "config") == 0
         assert "lp_status: trivial" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "algo, text",
+        [
+            ("config", '{"kind": "config", "m": 1, "requests": []}'),
+            ("related", '{"kind": "related", "speeds": [1], "jobs": []}'),
+        ],
+    )
+    def test_empty_online_stream_exits_1(self, tmp_path, capsys, algo, text):
+        src = tmp_path / "empty.json"
+        src.write_text(text)
+        assert run_cli("online", "--in", str(src), "--algo", algo) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: empty request stream")
+        assert "Traceback" not in err
+
     def test_zero_demand_routing_exits_1(self, tmp_path, capsys):
         src = tmp_path / "zero.json"
         write_instance(RoutingInstance(2, [(0, 1, 1)], [(0, 1, point_mass(0))]), src)

@@ -9,6 +9,7 @@ from cfgbal.distributions import (
     point_mass,
     scaled_bernoulli,
 )
+from cfgbal.instances import Configuration
 
 from conftest import tiny_rng
 
@@ -137,3 +138,38 @@ class TestExactMode:
         ex = dist.exact()
         assert ex.is_exact
         assert ex.mean() == Fraction(0.5) * Fraction(0.25) + Fraction(1.5) * Fraction(0.75)
+
+
+class TestScaledTails:
+    def test_boundary_value_is_exceptional(self):
+        law = d((1, Fraction(1, 2)), (3, Fraction(1, 2)))
+        # scaled supports {1/3, 1} and {2, 6}: the top point sits on tau
+        assert law.truncated_mean(1, Fraction(1, 3)) == Fraction(1, 6)
+        assert law.exceptional_mean(1, Fraction(1, 3)) == Fraction(1, 2)
+        assert (law.truncated_mean(6, 2), law.exceptional_mean(6, 2)) == (1, 3)
+
+    def test_fraction_tau_compared_exactly(self):
+        # x = 1.0 * (1/3 in floats) lies just below Fraction(1, 3) but equals
+        # float(Fraction(1, 3)): exact comparison makes it truncated
+        third = 1.0 / 3.0
+        law = DiscreteDistribution([(1.0, Fraction(1))])
+        tau = Fraction(1, 3)
+        assert (law.truncated_mean(tau, third), law.exceptional_mean(tau, third)) == (third, 0)
+        tau = float(tau)
+        assert (law.truncated_mean(tau, third), law.exceptional_mean(tau, third)) == (0, third)
+
+    def test_rejects_nonpositive_factor_and_tau(self):
+        for tail in (point_mass(1).truncated_mean, point_mass(1).exceptional_mean):
+            with pytest.raises(ValidationError):
+                tail(1, 0)
+            with pytest.raises(ValidationError):
+                tail(0, 1)
+
+    def test_underflowing_scale_still_prices(self):
+        # the scaled copy merges 0.0 and 5e-324 * 0.5 == 0.0 into a
+        # duplicate support value; the kernel needs no copy
+        law = DiscreteDistribution([(0.0, 0.5), (5e-324, 0.5)])
+        with pytest.raises(ValidationError):
+            law.scale(0.5)
+        value = Configuration([0.5], law).expected_truncated(0, 1.0)
+        assert value == 0.0 and isinstance(value, float)

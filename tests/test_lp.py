@@ -27,7 +27,7 @@ from cfgbal.oracle import optimal_adaptive, to_config_instance
 from cfgbal.instances import gen_adaptivity_gap_instance, routing_to_config
 from cfgbal.online import PotentialState, online_route_step
 
-from conftest import full_path_lp, random_dag_routing, tiny_suite
+from conftest import full_path_lp, random_dag_routing, tiny_rng, tiny_suite
 
 
 def triangle(demand=None):
@@ -103,6 +103,78 @@ class TestLPC:
                 continue
             for j in range(inst.n):
                 assert sol.weight_sum(j) == pytest.approx(1.0, abs=1e-8)
+
+
+def lpc_rows_by_coordinate(inst, tau):
+    """LP_C's var_map and rows the direct way: every (resource,
+    configuration) pair priced through a scaled copy of the law."""
+    t = float(tau)
+    var_map = [
+        (j, c)
+        for j, req in enumerate(inst.requests)
+        for c, cfg in enumerate(req.configs)
+        if float(cfg.expected_max()) <= t
+    ]
+    configs = [inst.requests[j].configs[c] for j, c in var_map]
+    rows = [
+        ({k: 1.0 for k, (jj, _) in enumerate(var_map) if jj == j}, "=", 1.0, f"req_{j}")
+        for j in range(inst.n)
+    ]
+    for i in range(inst.m):
+        coeffs = {}
+        for k, cfg in enumerate(configs):
+            a = cfg.multipliers[i]
+            v = float(cfg.law.scale(a).truncated_mean(tau)) if a else 0.0
+            if v:
+                coeffs[k] = v
+        rows.append((coeffs, "<=", t, f"trunc_{i}"))
+    coeffs = {}
+    for k, cfg in enumerate(configs):
+        a = cfg.max_multiplier
+        v = float(cfg.law.scale(a).exceptional_mean(tau)) if a else 0.0
+        if v:
+            coeffs[k] = v
+    rows.append((coeffs, "<=", t, "exc"))
+    return var_map, rows
+
+
+def float_config_suite(count, seed):
+    """Float instances with shared, repeated and zero multipliers."""
+    rng = tiny_rng(seed)
+    out = []
+    for _ in range(count):
+        m = int(rng.integers(1, 5))
+        requests = []
+        for j in range(int(rng.integers(1, 5))):
+            configs = []
+            for _ in range(int(rng.integers(1, 4))):
+                mults = [float(rng.choice([0.0, 0.5, 1.0, rng.uniform(0.1, 2.0)])) for _ in range(m)]
+                values = sorted(set(float(v) for v in rng.uniform(0, 3, size=3)))
+                probs = rng.dirichlet([1.0] * len(values))
+                law = DiscreteDistribution(list(zip(values, probs / probs.sum())))
+                configs.append(Configuration(mults, law))
+            requests.append(Request(j, configs))
+        out.append(ConfigInstance(m, requests))
+    return out
+
+
+class TestLPCRows:
+    @pytest.mark.parametrize("kind", ["config", "unrelated", "float"])
+    def test_rows_match_per_coordinate_pricing(self, kind):
+        if kind == "float":
+            suite = float_config_suite(25, seed=4242)
+        else:
+            suite = tiny_suite(kind, 25, seed=4242)
+        for inst in suite:
+            if kind == "unrelated":
+                inst = unrelated_to_config(inst)
+            for tau in (Fraction(1, 2), 1, 1.5, 2, Fraction(7, 3), 4):
+                lp, var_map = build_lpc(inst, tau)
+                want_map, want_rows = lpc_rows_by_coordinate(inst, tau)
+                assert var_map == want_map
+                assert [(list(c.items()), s, r, n) for c, s, r, n in lp.rows] == [
+                    (list(c.items()), s, r, n) for c, s, r, n in want_rows
+                ]
 
 
 class TestMinFeasibleTau:
