@@ -12,6 +12,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -45,6 +46,8 @@ from .online import (
 )
 from .oracle import (
     AdaptiveOracle,
+    IncompletePolicy,
+    StateSpaceExceeded,
     evaluate_policy,
     non_adaptive_policy,
     restart_policy,
@@ -79,6 +82,17 @@ def write_report(lines, out):
         sys.stdout.write(text)
 
 
+def parse_tau(text):
+    """A --tau argument as an exact Fraction ("2", "11/4", "0.5"). It must
+    also fit a float: lp-check and simulate compute with float(tau)."""
+    try:
+        tau = Fraction(text)
+        float(tau)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValidationError(f"invalid --tau {text!r}: expected a finite number or p/q") from None
+    return tau
+
+
 def report_lines(title, pairs):
     lines = [f"# {title}"]
     for key, value in pairs:
@@ -109,7 +123,8 @@ def simulation_csv(report):
 
 def cmd_gen(args):
     if args.kind == "gap":
-        inst = gen_adaptivity_gap_instance(args.m, Fraction(args.tau) if args.tau else 2)
+        tau = parse_tau(args.tau) if args.tau is not None else 2
+        inst = gen_adaptivity_gap_instance(args.m, tau)
     elif args.kind == "adversary":
         inst = gen_clairvoyance_adversary_instance(args.m)
     elif args.kind in ("config", "unrelated", "related"):
@@ -213,19 +228,19 @@ def cmd_online(args):
 
 def cmd_oracle(args):
     inst = read_instance(getattr(args, "in"))
-    tau = Fraction(args.tau) if args.tau else None
+    tau = parse_tau(args.tau) if args.tau is not None else None
     if args.what == "opt":
         oracle = AdaptiveOracle(inst)
         value = oracle.value()
         pairs = [("expected_makespan", value)]
-        if tau:
+        if tau is not None:
             pv = evaluate_policy(inst, oracle.policy(), tau)
             pairs.append(("exceptional_at_tau", pv.exceptional))
             pairs.append(("tau", tau))
         write_report(report_lines("oracle opt", pairs), args.report)
         return EXIT_OK
     if args.what == "restart":
-        if not tau:
+        if tau is None:
             raise ValidationError("restart needs --tau")
         _, value = restart_policy(inst, tau)
         write_report(
@@ -241,7 +256,7 @@ def cmd_oracle(args):
         )
         return EXIT_OK
     if args.what == "eval":
-        if not (tau and args.policy_file):
+        if tau is None or not args.policy_file:
             raise ValidationError("eval needs --tau and --policy-file")
         with open(args.policy_file, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -264,7 +279,7 @@ def cmd_oracle(args):
 
 def cmd_lp_check(args):
     inst = read_instance(getattr(args, "in"))
-    tau = float(Fraction(args.tau))
+    tau = float(parse_tau(args.tau))
     if isinstance(inst, RoutingInstance):
         verdict = solve_lpp_column_generation(inst, tau)
         name = "LP_P"
@@ -308,7 +323,7 @@ def cmd_simulate(args):
     for k, v in doc["choices"].items():
         choices[int(k)] = tuple(v) if isinstance(v, list) else v
     policy = NonAdaptiveAssignment(choices)
-    tau = float(Fraction(args.tau)) if args.tau else None
+    tau = float(parse_tau(args.tau)) if args.tau is not None else None
     report = simulate_policy(inst, policy, args.trials, args.seed, tau=tau)
     text = simulation_csv(report)
     if args.report:
@@ -390,8 +405,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def shared_parser():
+    """The parser every main call reuses: built on first use, since building
+    the argparse tree costs more than parsing one command line."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -406,6 +428,8 @@ def main(argv=None):
         FileNotFoundError,
         NoFeasibleTau,
         NumericalFailure,
+        IncompletePolicy,
+        StateSpaceExceeded,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

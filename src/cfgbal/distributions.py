@@ -11,6 +11,7 @@ exceptional (X^T = X*1{X < tau}, X^E = X*1{X >= tau}).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -26,6 +27,12 @@ def as_exact(x):
     if isinstance(x, Rational):
         return Fraction(x)
     return Fraction(float(x))
+
+
+def is_finite(x):
+    """False for NaN and infinities. Ints and Fractions are finite without a
+    float conversion, which would overflow for huge ones."""
+    return isinstance(x, (int, Fraction)) or math.isfinite(x)
 
 
 def check_tau(tau):
@@ -55,6 +62,8 @@ class DiscreteDistribution:
         if not pairs:
             raise ValidationError("distribution support is empty")
         for v, p in pairs:
+            if not is_finite(v):
+                raise ValidationError(f"non-finite support value {v}")
             if v < 0:
                 raise ValidationError(f"negative support value {v}")
             if not (0 < p <= 1):
@@ -81,7 +90,10 @@ class DiscreteDistribution:
         return self._all_rational(self.support)
 
     def exact(self):
-        """Return a copy with all values and probabilities as Fractions."""
+        """This distribution with all values and probabilities as Fractions:
+        itself when they already are (it is immutable), else a copy."""
+        if all(type(v) is Fraction and type(p) is Fraction for v, p in self.support):
+            return self
         return DiscreteDistribution(
             [(as_exact(v), as_exact(p)) for v, p in self.support]
         )

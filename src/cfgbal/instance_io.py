@@ -9,6 +9,7 @@ write/read cycle reproduces the instance structurally.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -42,6 +43,8 @@ def _decode_num(x, where):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ParseError(f"{where}: non-finite number {x!r}")
         return x
     if isinstance(x, str):
         try:

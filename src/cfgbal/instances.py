@@ -18,6 +18,7 @@ from .distributions import (
     ValidationError,
     as_exact,
     check_tau,
+    is_finite,
     point_mass,
     scaled_bernoulli,
 )
@@ -44,6 +45,8 @@ class Configuration:
         if not mults:
             raise ValidationError("configuration needs at least one resource")
         for a in mults:
+            if not is_finite(a):
+                raise ValidationError(f"non-finite multiplier {a}")
             if a < 0:
                 raise ValidationError(f"negative multiplier {a}")
         self.multipliers = mults
@@ -96,7 +99,11 @@ class Configuration:
         return (exceptional, *loads)
 
     def exact(self):
-        return Configuration([as_exact(a) for a in self.multipliers], self.law.exact())
+        """This configuration in Fractions; itself when it already is."""
+        law = self.law.exact()
+        if law is self.law and all(type(a) is Fraction for a in self.multipliers):
+            return self
+        return Configuration([as_exact(a) for a in self.multipliers], law)
 
     def __eq__(self, other):
         if not isinstance(other, Configuration):

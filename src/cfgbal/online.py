@@ -226,14 +226,18 @@ def related_group_proxies(groups, law, tau):
     return proxies
 
 
-def online_related_step(groups, state, law, machine_loads):
+def online_related_step(groups, state, law, machine_loads, proxies=None):
     """Pick a group through the potential and then the least-loaded machine
     of that group (by realized truncated load, lowest id on ties).
 
     machine_loads maps original machine id -> current realized truncated
-    load. Returns (machine id, group index, new state) or None on Fail.
+    load; proxies, when given, are related_group_proxies(groups, law,
+    state.tau). Returns (machine id, group index, dphi, new state) or None
+    on Fail.
     """
-    result = argmin_step(state, related_group_proxies(groups, law, state.tau))
+    if proxies is None:
+        proxies = related_group_proxies(groups, law, state.tau)
+    result = argmin_step(state, proxies)
     if result is None:
         return None
     group_idx, dphi, new_state = result
@@ -249,7 +253,9 @@ class RelatedBalancer:
 
     List scheduling compares realized truncated loads at the current
     threshold (values at or above tau stay out of the comparison, mirroring
-    the averaging argument that bounds per-machine truncated load)."""
+    the averaging argument that bounds per-machine truncated load). Those
+    loads are kept per phase: loads_tau is the threshold they are summed
+    at, and a step at a new threshold rebuilds them from the history."""
 
     def __init__(self, related, realize):
         from .instances import SmoothedGroups
@@ -266,6 +272,8 @@ class RelatedBalancer:
         )
         self.realize = realize
         self.history = []  # (machine id, realized scaled size)
+        self.loads_tau = None
+        self.loads = {}  # machine id -> truncated load at loads_tau
         self.speed_of = {}
         for speed, _, ids in self.exec_groups:
             for i in ids:
@@ -290,6 +298,8 @@ class RelatedBalancer:
         return idx
 
     def truncated_loads(self, tau):
+        """Per-machine realized truncated loads at tau, rescanned from the
+        whole history."""
         loads = {}
         for machine, scaled in self.history:
             if scaled < tau:
@@ -297,19 +307,24 @@ class RelatedBalancer:
         return loads
 
     def step(self, state, job):
-        result = online_related_step(
-            self.exec_groups, state, job, self.truncated_loads(state.tau)
-        )
+        tau = state.tau
+        if tau != self.loads_tau:
+            self.loads_tau = tau
+            self.loads = self.truncated_loads(tau)
+        proxies = related_group_proxies(self.exec_groups, job, tau)
+        result = online_related_step(self.exec_groups, state, job, self.loads, proxies)
         if result is None:
             return None
         machine, group_idx, dphi, new_state = result
-        proxy = related_group_proxies(self.exec_groups, job, state.tau)[group_idx]
         job_index = len(self.assignments)
         value = float(self.realize(job_index, job))
         scaled = value / self.speed_of[machine]
         self.history.append((machine, scaled))
+        if scaled < tau:
+            # same per-machine order of additions as a rescan
+            self.loads[machine] = self.loads.get(machine, 0.0) + scaled
         self.assignments.append((job_index, machine, value))
-        return machine, proxy, dphi, new_state
+        return machine, proxies[group_idx], dphi, new_state
 
 
 def run_online_related(related, realize, lam0=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .distributions import check_tau
+from .distributions import ValidationError, check_tau
 from .instances import as_config_instance
 
 
@@ -53,6 +53,39 @@ def to_config_instance(inst):
     return as_config_instance(inst).exact()
 
 
+def outcome_table(inst):
+    """{request id: one (expected_max, a_max, outcomes) per configuration}
+    of an exact configuration instance.
+
+    outcomes holds one (v, p, a_max * v, increments) per support point,
+    where increments lists (i, a_i * v) for every a_i != 0: the load added
+    to each resource. Every walker reads these instead of recomputing
+    L + a * v for all resources at every state.
+    """
+    table = {}
+    for r in inst.requests:
+        rows = []
+        for config in r.configs:
+            a_max = config.max_multiplier
+            nonzero = [(i, a) for i, a in enumerate(config.multipliers) if a != 0]
+            outcomes = tuple(
+                (v, p, a_max * v, tuple((i, a * v) for i, a in nonzero))
+                for v, p in config.law.support
+            )
+            rows.append((config.expected_max(), a_max, outcomes))
+        table[r.id] = tuple(rows)
+    return table
+
+
+def add_load(loads, increments):
+    """loads with each (i, x) of increments added; a float load plus a
+    Fraction increment stays a float, as L + a * v did."""
+    new = list(loads)
+    for i, x in increments:
+        new[i] = new[i] + x
+    return tuple(new)
+
+
 class AdaptiveOracle:
     """Memoized value iteration for the optimal adaptive policy.
 
@@ -66,6 +99,7 @@ class AdaptiveOracle:
         self.inst = to_config_instance(inst)
         self.max_states = max_states
         self.by_id = {r.id: r for r in self.inst.requests}
+        self.table = outcome_table(self.inst)
         self._value = {}
         self._choice = {}
         self.zero_loads = tuple(Fraction(0) for _ in range(self.inst.m))
@@ -88,13 +122,10 @@ class AdaptiveOracle:
         best_choice = None
         for j in sorted(remaining):
             rest = remaining - {j}
-            for c, config in enumerate(self.by_id[j].configs):
+            for c, (_, _, outcomes) in enumerate(self.table[j]):
                 q = Fraction(0)
-                for v, p in config.law.support:
-                    new_loads = tuple(
-                        L + a * v for L, a in zip(loads, config.multipliers)
-                    )
-                    q += p * self.value(rest, new_loads)
+                for _, p, _, increments in outcomes:
+                    q += p * self.value(rest, add_load(loads, increments))
                 if best is None or q < best:
                     best = q
                     best_choice = (j, c)
@@ -128,11 +159,9 @@ class AdaptiveOracle:
                 return
             j, c = self.choice(remaining, loads)
             lines.append(f"{pad}{{state: {state}, decision: request {j} -> config {c}}}")
-            config = self.by_id[j].configs[c]
-            for v, _ in config.law.support:
-                new_loads = tuple(L + a * v for L, a in zip(loads, config.multipliers))
+            for v, _, _, increments in self.table[j][c][2]:
                 lines.append(f"{pad}  realized {v}:")
-                render(remaining - {j}, new_loads, depth + 2)
+                render(remaining - {j}, add_load(loads, increments), depth + 2)
 
         render(self.all_ids, self.zero_loads, 0)
         return "\n".join(lines)
@@ -150,7 +179,7 @@ def evaluate_policy(inst, policy, tau):
     check_tau(tau)
     inst = to_config_instance(inst)
     tau = Fraction(tau)
-    by_id = {r.id: r for r in inst.requests}
+    table = outcome_table(inst)
     memo = {}
 
     def walk(remaining, loads):
@@ -169,23 +198,21 @@ def evaluate_policy(inst, policy, tau):
         j, c = decision
         if j not in remaining:
             raise IncompletePolicy(f"policy chose request {j} not in remaining set")
-        config = by_id[j].configs[c]
-        a_max = config.max_multiplier
+        if c not in range(len(table[j])):
+            raise IncompletePolicy(f"policy chose missing config {c} of request {j}")
         mk = Fraction(0)
         exc = Fraction(0)
         rest = remaining - {j}
-        for v, p in config.law.support:
-            new_loads = tuple(L + a * v for L, a in zip(loads, config.multipliers))
-            peak = a_max * v
+        for _, p, peak, increments in table[j][c][2]:
             step_exc = peak if peak >= tau else Fraction(0)
-            sub_mk, sub_exc = walk(rest, new_loads)
+            sub_mk, sub_exc = walk(rest, add_load(loads, increments))
             mk += p * sub_mk
             exc += p * (step_exc + sub_exc)
         memo[key] = (mk, exc)
         return memo[key]
 
     zero = tuple(Fraction(0) for _ in range(inst.m))
-    mk, exc = walk(frozenset(by_id), zero)
+    mk, exc = walk(frozenset(table), zero)
     return PolicyValue(mk, exc)
 
 
@@ -222,7 +249,7 @@ class RestartPolicy:
 
     def value(self):
         """Exact (expected makespan, expected total exceptional load)."""
-        by_id = self.oracle.by_id
+        table = self.oracle.table
         tau = self.tau
         memo = {}
 
@@ -234,34 +261,29 @@ class RestartPolicy:
             if cached is not None:
                 return cached
             j, c = self._opt_choice(remaining, opt_loads)
-            config = by_id[j].configs[c]
-            if config.expected_max() > tau:
+            expected_max, _, outcomes = table[j][c]
+            if expected_max > tau:
                 # too large: restart OPT on the same set with fresh loads
                 if opt_loads == self.oracle.zero_loads:
-                    raise RuntimeError(
-                        "OPT's first decision is too large; requires tau < 2 E[OPT]"
+                    raise ValidationError(
+                        f"tau {tau} is below E[max] of OPT's first decision; "
+                        "the restart policy needs tau >= 2 E[OPT]"
                     )
                 result = walk(remaining, self.oracle.zero_loads, true_loads)
                 memo[key] = result
                 return result
             self.committed_configs.add((j, c))
-            a_max = config.max_multiplier
             rest = remaining - {j}
             mk = Fraction(0)
             exc = Fraction(0)
-            for v, p in config.law.support:
-                new_true = tuple(
-                    L + a * v for L, a in zip(true_loads, config.multipliers)
-                )
-                peak = a_max * v
+            for _, p, peak, increments in outcomes:
+                new_true = add_load(true_loads, increments)
                 if peak >= tau:
                     step_exc = peak
                     sub_mk, sub_exc = walk(rest, self.oracle.zero_loads, new_true)
                 else:
                     step_exc = Fraction(0)
-                    new_opt = tuple(
-                        L + a * v for L, a in zip(opt_loads, config.multipliers)
-                    )
+                    new_opt = add_load(opt_loads, increments)
                     sub_mk, sub_exc = walk(rest, new_opt, new_true)
                 mk += p * sub_mk
                 exc += p * (step_exc + sub_exc)
@@ -283,16 +305,17 @@ class RestartPolicy:
         trace = []
         while remaining:
             j, c = self._opt_choice(frozenset(remaining), opt_loads)
-            config = self.oracle.by_id[j].configs[c]
-            if config.expected_max() > self.tau:
+            expected_max, a_max, _ = self.oracle.table[j][c]
+            if expected_max > self.tau:
                 if opt_loads == self.oracle.zero_loads:
-                    raise RuntimeError("stuck restart: tau too small")
+                    raise ValidationError("stuck restart: tau too small")
                 opt_loads = self.oracle.zero_loads
                 continue
+            config = self.oracle.by_id[j].configs[c]
             v = Fraction(realize(j, config.law))
             trace.append((j, c, v))
             remaining.discard(j)
-            if config.max_multiplier * v >= self.tau:
+            if a_max * v >= self.tau:
                 opt_loads = self.oracle.zero_loads
             else:
                 opt_loads = tuple(

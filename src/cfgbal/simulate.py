@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .distributions import check_tau
+from .distributions import ValidationError, check_tau
 from .instances import (
     ConfigInstance,
     RelatedInstance,
@@ -94,11 +94,17 @@ class SimulationReport:
 
 def _choice_law_and_effect(inst, j, choice):
     """law, per-resource multiplier vector, and max multiplier of a chosen
-    configuration, uniformly across instance kinds."""
+    configuration, uniformly across instance kinds; ValidationError when
+    the policy names a request or an option the instance does not have."""
+    _require(j, inst.n, "request", "the instance")
     if isinstance(inst, ConfigInstance):
-        config = inst.requests[j].configs[choice]
+        configs = inst.requests[j].configs
+        _require(choice, len(configs), "configuration", f"request {j}")
+        config = configs[choice]
         mult = [float(a) for a in config.multipliers]
         return config.law, mult, max(mult)
+    if isinstance(inst, (UnrelatedInstance, RelatedInstance)):
+        _require(choice, inst.m, "machine", f"request {j}")
     if isinstance(inst, UnrelatedInstance):
         mult = [0.0] * inst.m
         mult[choice] = 1.0
@@ -111,9 +117,15 @@ def _choice_law_and_effect(inst, j, choice):
         law = inst.requests[j][2]
         mult = [0.0] * inst.m
         for e in choice:
+            _require(e, inst.m, "edge", f"request {j}")
             mult[e] = 1.0 / float(inst.edges[e][2])
         return law, mult, max(mult) if choice else 0.0
     raise TypeError(f"cannot simulate on {type(inst).__name__}")
+
+
+def _require(option, count, what, owner):
+    if option not in range(count):
+        raise ValidationError(f"policy chose {what} {option!r}; {owner} has {count}")
 
 
 def simulate_policy(inst, policy, trials, seed, tau=None):

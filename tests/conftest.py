@@ -170,3 +170,84 @@ def random_dag_routing(seed, max_edges=12):
     from cfgbal.instances import RoutingInstance
 
     return RoutingInstance(nv, edges, requests)
+
+
+def _exact_configs(inst):
+    """{request id: [(multipliers, support)]} of a configuration instance,
+    every number as a Fraction."""
+    return {
+        r.id: [
+            (
+                tuple(Fraction(a) for a in c.multipliers),
+                [(Fraction(v), Fraction(p)) for v, p in c.law.support],
+            )
+            for c in r.configs
+        ]
+        for r in inst.requests
+    }
+
+
+def brute_force_config_opt(inst):
+    """Optimal adaptive expected makespan of a configuration instance by
+    direct recursion on (remaining requests, loads), with its decision rule
+    decide(remaining, loads) -> (request, config), ties to the lowest pair.
+    Returns (value, decide)."""
+    configs = _exact_configs(inst)
+    memo = {}
+
+    def go(remaining, loads):
+        if not remaining:
+            return max(loads), None
+        key = (remaining, loads)
+        if key in memo:
+            return memo[key]
+        best = None
+        for j in sorted(remaining):
+            rest = remaining - {j}
+            for c, (mults, support) in enumerate(configs[j]):
+                q = Fraction(0)
+                for v, p in support:
+                    new = tuple(L + a * v for L, a in zip(loads, mults))
+                    q += p * go(rest, new)[0]
+                if best is None or q < best[0]:
+                    best = (q, (j, c))
+        memo[key] = best
+        return best
+
+    zero = tuple(Fraction(0) for _ in range(inst.m))
+    return go(frozenset(configs), zero)[0], lambda remaining, loads: go(remaining, loads)[1]
+
+
+def brute_force_config_policy(inst, decide, tau, restart=False):
+    """(E[makespan], E[total exceptional load at tau]) of a decision rule
+    on a configuration instance, enumerating every realization path.
+
+    With restart=True the rule follows the restart transform: it sees loads
+    reset to zero after a realization with a_max * v >= tau, and a chosen
+    configuration with E[max] > tau resets them and asks again."""
+    configs = _exact_configs(inst)
+    zero = tuple(Fraction(0) for _ in range(inst.m))
+
+    def go(remaining, seen, loads):
+        if not remaining:
+            return max(loads), Fraction(0)
+        j, c = decide(remaining, seen)
+        mults, support = configs[j][c]
+        a_max = max(mults)
+        if restart and a_max * sum(v * p for v, p in support) > tau:
+            assert seen != zero, "restart stuck at fresh loads"
+            return go(remaining, zero, loads)
+        mk = exc = Fraction(0)
+        for v, p in support:
+            new = tuple(L + a * v for L, a in zip(loads, mults))
+            peak = a_max * v
+            if restart:
+                new_seen = zero if peak >= tau else tuple(L + a * v for L, a in zip(seen, mults))
+            else:
+                new_seen = new
+            sub_mk, sub_exc = go(remaining - {j}, new_seen, new)
+            mk += p * sub_mk
+            exc += p * ((peak if peak >= tau else 0) + sub_exc)
+        return mk, exc
+
+    return go(frozenset(configs), zero, zero)

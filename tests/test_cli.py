@@ -180,3 +180,113 @@ class TestReports:
         second = batch("b")
         assert len(first) == 30
         assert first == second
+
+
+def assert_one_error_line(err):
+    """stderr of a clean failure: exactly one "error:" line, no traceback."""
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+
+
+NAN_LAW = '{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [{"multipliers": [1], "law": [[NaN, 1]]}]}]}'
+INF_MULT = '{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [{"multipliers": [Infinity], "law": [[1, 1]]}]}]}'
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("text", [NAN_LAW, INF_MULT], ids=["nan-law", "inf-multiplier"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("online", "--algo", "config"),
+            ("offline", "--algo", "config"),
+            ("oracle", "--what", "opt"),
+        ],
+    )
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, text, argv):
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        assert run_cli(*argv, "--in", str(src)) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert "non-finite" in captured.err
+        assert "lambda" not in captured.out
+
+
+class TestArgumentErrors:
+    @pytest.fixture
+    def gap(self, tmp_path):
+        src = tmp_path / "gap.json"
+        run_cli("gen", "--kind", "gap", "--m", "2", "--tau", "2", "--out", str(src))
+        return src
+
+    def policy(self, tmp_path, choices):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"choices": choices}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "--what", "opt", "--tau", "abc"),
+            ("oracle", "--what", "restart", "--tau", "1/0"),
+            ("lp-check", "--tau", "1e400"),
+        ],
+    )
+    def test_bad_tau(self, gap, capsys, argv):
+        assert run_cli(*argv, "--in", str(gap)) == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_simulate_bad_tau(self, gap, tmp_path, capsys):
+        policy = self.policy(tmp_path, {"0": 0, "1": 0})
+        assert run_cli("simulate", "--in", str(gap), "--policy-file", policy, "--tau", "x") == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_restart_tau_below_first_decision(self, tmp_path, capsys):
+        src = tmp_path / "one.json"
+        write_instance(ConfigInstance(1, [Request(0, [Configuration([1], point_mass(1))])]), src)
+        assert run_cli("oracle", "--in", str(src), "--what", "restart", "--tau", "0.1") == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("choices", [{"0": 0, "1": 7}, {"0": 0, "5": 0}, {"0": "0", "1": 0}])
+    def test_simulate_missing_choice(self, gap, tmp_path, capsys, choices):
+        policy = self.policy(tmp_path, choices)
+        assert run_cli("simulate", "--in", str(gap), "--policy-file", policy, "--trials", "10") == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_oracle_eval_missing_choice(self, gap, tmp_path, capsys):
+        policy = self.policy(tmp_path, {"0": 0, "1": 7})
+        assert run_cli(
+            "oracle", "--in", str(gap), "--what", "eval", "--tau", "2", "--policy-file", policy
+        ) == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("tau", ["0", "-1"])
+    def test_oracle_non_positive_tau(self, gap, capsys, tau):
+        assert run_cli("oracle", "--in", str(gap), "--what", "opt", "--tau", tau) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert captured.out == ""
+
+
+class TestRepeatedMain:
+    def test_reports_identical_and_no_argument_leaks(self, tmp_path, capsys):
+        src = tmp_path / "gap.json"
+        run_cli("gen", "--kind", "gap", "--m", "4", "--tau", "2", "--out", str(src))
+        argvs = [
+            ("oracle", "--in", str(src), "--what", "opt", "--tau", "2"),
+            ("oracle", "--in", str(src), "--what", "opt"),
+            ("offline", "--in", str(src), "--algo", "related", "--seed", "3"),
+            ("online", "--in", str(src), "--algo", "related"),
+        ]
+        capsys.readouterr()
+        first = []
+        for argv in argvs:
+            assert run_cli(*argv) == 0
+            first.append(capsys.readouterr().out)
+        assert "tau:" in first[0]
+        assert "tau:" not in first[1]
+        for argv, want in zip(argvs, first):
+            assert run_cli("offline", "--in", str(src), "--algo", "mystery") == 1
+            capsys.readouterr()
+            assert run_cli(*argv) == 0
+            assert capsys.readouterr().out == want

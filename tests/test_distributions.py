@@ -108,6 +108,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             d((0, Fraction(1, 2)), (1, Fraction(1, 3)))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value(self, value):
+        with pytest.raises(ValidationError, match="non-finite"):
+            d((value, 1.0))
+
 
 class TestSampling:
     def test_point_mass_always(self):

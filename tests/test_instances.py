@@ -279,6 +279,17 @@ class TestInstanceIO:
         with pytest.raises(ParseError, match="kind"):
             loads_instance('{"kind": "mystery"}')
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_rejected(self, number):
+        text = '{"kind": "related", "speeds": [1], "jobs": [[[%s, 1]]]}' % number
+        with pytest.raises(ParseError, match="non-finite"):
+            loads_instance(text)
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_non_finite_multiplier(self, a):
+        with pytest.raises(ValidationError, match="non-finite"):
+            Configuration([a], point_mass(1))
+
     def test_decimal_probabilities(self):
         text = '{"kind": "related", "speeds": [1.0], "jobs": [[[0, 0.5], [1, 0.5]]]}'
         inst = loads_instance(text)

@@ -13,9 +13,11 @@ from cfgbal.instances import (
     SmoothedGroups,
     gen_clairvoyance_adversary_instance,
 )
+from cfgbal import online
 from cfgbal.online import (
     ConfigBalancer,
     PotentialState,
+    RelatedBalancer,
     SqrtListScheduler,
     argmin_step,
     delta_phi,
@@ -27,11 +29,12 @@ from cfgbal.online import (
     potential,
     related_group_proxies,
     run_online_config,
+    run_online_related,
     run_online_routing,
 )
 from cfgbal.oracle import optimal_adaptive
 
-from conftest import brute_force_min_dphi, random_dag_routing, tiny_suite
+from conftest import brute_force_min_dphi, random_dag_routing, tiny_rng, tiny_suite
 
 
 def triangle(demand=None):
@@ -186,6 +189,63 @@ class TestOnlineRelated:
             groups, st, point_mass(1), {0: 1.0, 1: 0.5}
         )
         assert group_idx == 0 and machine == 1
+
+
+def multi_phase_related():
+    """120 jobs on 6 related machines that take three guess-and-double
+    phases; a quarter of each job's mass sits far above the others, so some
+    realized sizes reach tau and stay out of the truncated loads."""
+    rng = tiny_rng(7)
+    speeds = [float(rng.integers(1, 9)) / 8 for _ in range(6)]
+    jobs = [
+        DiscreteDistribution(
+            [(float(rng.integers(1, 9)) / 4, 0.75), (float(rng.integers(9, 65)), 0.25)]
+        )
+        for _ in range(120)
+    ]
+    return RelatedInstance(speeds, jobs)
+
+
+def cycle_support(j, law):
+    return law.support[j % len(law.support)][0]
+
+
+class TestRelatedBalancer:
+    def test_one_proxy_pass_per_attempted_step(self, monkeypatch):
+        calls = {"proxies": 0, "steps": 0}
+        proxies, step = online.related_group_proxies, RelatedBalancer.step
+
+        def counted_proxies(*args):
+            calls["proxies"] += 1
+            return proxies(*args)
+
+        def counted_step(self, *args):
+            calls["steps"] += 1
+            return step(self, *args)
+
+        monkeypatch.setattr(online, "related_group_proxies", counted_proxies)
+        monkeypatch.setattr(RelatedBalancer, "step", counted_step)
+        inst = multi_phase_related()
+        run, _ = run_online_related(inst, cycle_support)
+        assert run.phases == 3
+        assert calls["proxies"] == calls["steps"] == inst.n + run.phases - 1
+
+    def test_kept_loads_equal_a_rescan_after_every_step(self, monkeypatch):
+        step = RelatedBalancer.step
+        outcomes = []
+
+        def checked_step(self, state, job):
+            result = step(self, state, job)
+            assert self.loads_tau == state.tau
+            assert self.loads == self.truncated_loads(state.tau)
+            outcomes.append(result is not None)
+            return result
+
+        monkeypatch.setattr(RelatedBalancer, "step", checked_step)
+        run, inner = run_online_related(multi_phase_related(), cycle_support)
+        assert run.phases == 3 and not all(outcomes)
+        tau = run.state.tau
+        assert any(scaled >= tau for _, scaled in inner.history)
 
 
 class TestOnlineRouting:

@@ -16,6 +16,7 @@ from cfgbal.instances import (
 from cfgbal.oracle import (
     AdaptiveOracle,
     IncompletePolicy,
+    PolicyValue,
     StateSpaceExceeded,
     always_fast,
     clairvoyance_adversary,
@@ -25,7 +26,12 @@ from cfgbal.oracle import (
     restart_policy,
 )
 
-from conftest import brute_force_unrelated_opt, tiny_suite
+from conftest import (
+    brute_force_config_opt,
+    brute_force_config_policy,
+    brute_force_unrelated_opt,
+    tiny_suite,
+)
 
 
 def single_config(law, mult=(1,)):
@@ -124,6 +130,36 @@ class TestEvaluatePolicy:
         u = UnrelatedInstance(2, [(point_mass(1), point_mass(5))])
         pv = evaluate_policy(u, non_adaptive_policy({0: 1}), 10)
         assert pv.makespan == 5
+
+
+class TestWalkersMatchBruteForce:
+    """The oracle, policy evaluation and restart walkers share one outcome
+    table; each must agree exactly with a recursion written without it."""
+
+    def test_config_suite(self):
+        checked = 0
+        for inst in tiny_suite("config", 30, seed=406):
+            opt, decide = brute_force_config_opt(inst)
+            oracle = AdaptiveOracle(inst)
+            assert oracle.value() == opt
+            if opt == 0:
+                continue
+            fixed = non_adaptive_policy({r.id: len(r.configs) - 1 for r in inst.requests})
+            got = [
+                evaluate_policy(inst, oracle.policy(), opt),
+                evaluate_policy(inst, fixed, opt),
+                restart_policy(inst, 2 * opt)[1],
+            ]
+            want = [
+                brute_force_config_policy(inst, decide, opt),
+                brute_force_config_policy(inst, fixed, opt),
+                brute_force_config_policy(inst, decide, 2 * opt, restart=True),
+            ]
+            assert got == [PolicyValue(*pair) for pair in want]
+            assert all(isinstance(x, Fraction) for pv in got for x in pv)
+            assert got[0].makespan == opt
+            checked += 1
+        assert checked >= 20
 
 
 class TestRestartPolicy:
