@@ -27,30 +27,48 @@ def path_key(edges, path):
 def simple_paths(n_vertices, edges, edge_ids, source, sink):
     """Yield all simple source-sink paths (edge-index tuples) in canonical
     order. Exponential in general; callers keep graphs small."""
+    return _dfs_paths(_out_edges(edges, edge_ids), source, sink)
+
+
+def _out_edges(edges, edge_ids):
+    """{tail: [(head, edge index)]} in canonical (head, edge index) order."""
     adj = {}
     for e in edge_ids:
         tail, head, _ = edges[e]
         adj.setdefault(tail, []).append((head, e))
     for lst in adj.values():
         lst.sort(key=lambda he: (he[0], he[1]))
+    return adj
 
+
+def _dfs_paths(adj, source, sink, usable=None):
+    """Yield the simple source-sink paths over the edges (u, v, e) with
+    usable(u, v, e) true, in canonical order: a depth-first search with an
+    explicit stack, so path length is not bounded by the recursion limit."""
+    if source == sink:
+        yield ()
+        return
     path = []
     visited = {source}
-
-    def walk(u):
-        if u == sink:
-            yield tuple(path)
-            return
-        for v, e in adj.get(u, ()):
-            if v in visited:
-                continue
-            visited.add(v)
-            path.append(e)
-            yield from walk(v)
-            path.pop()
-            visited.remove(v)
-
-    yield from walk(source)
+    stack = [(source, iter(adj.get(source, ())))]
+    while stack:
+        u, out = stack[-1]
+        step = next(out, None)
+        if step is None:
+            stack.pop()
+            if path:
+                path.pop()
+                visited.remove(u)
+            continue
+        v, e = step
+        if v in visited or (usable is not None and not usable(u, v, e)):
+            continue
+        if v == sink:
+            yield (*path, e)
+            continue
+        visited.add(v)
+        path.append(e)
+        stack.append((v, iter(adj.get(v, ()))))
 
 
 def dijkstra_to_sink(n_vertices, edges, edge_ids, weights, sink):
@@ -80,18 +98,12 @@ def lex_shortest_path(n_vertices, edges, edge_ids, weights, source, sink):
     """Minimum-weight simple source-sink path, canonically smallest among
     minimizers; None if the sink is unreachable.
 
-    Works from exact distances-to-sink and greedily walks tight edges in
+    Works from exact distances-to-sink and walks tight edges depth first in
     canonical order, backtracking if a zero-weight cycle blocks the walk.
     """
     dist = dijkstra_to_sink(n_vertices, edges, edge_ids, weights, sink)
     if source not in dist:
         return None
-    adj = {}
-    for e in edge_ids:
-        tail, head, _ = edges[e]
-        adj.setdefault(tail, []).append((head, e))
-    for lst in adj.values():
-        lst.sort(key=lambda he: (he[0], he[1]))
 
     def tight(u, v, e):
         if v not in dist:
@@ -100,26 +112,7 @@ def lex_shortest_path(n_vertices, edges, edge_ids, weights, source, sink):
         tol = REL_TOL * max(1.0, abs(target))
         return abs(weights[e] + dist[v] - target) <= tol
 
-    path = []
-    visited = {source}
-
-    def walk(u):
-        if u == sink:
-            return True
-        for v, e in adj.get(u, ()):
-            if v in visited or not tight(u, v, e):
-                continue
-            visited.add(v)
-            path.append(e)
-            if walk(v):
-                return True
-            path.pop()
-            visited.remove(v)
-        return False
-
-    if not walk(source):
-        return None
-    return tuple(path)
+    return next(_dfs_paths(_out_edges(edges, edge_ids), source, sink, tight), None)
 
 
 def widest_path_value(n_vertices, edges, edge_ids, source, sink):

@@ -9,6 +9,8 @@ a lower bound.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .distributions import ValidationError, check_tau
 from .instances import (
     RoutingRequestView,
@@ -181,20 +183,36 @@ class GroupListSchedulePolicy:
         self.group_of_job = dict(group_of_job)
         self.tau = float(tau)
 
-    def run(self, inst, realize):
-        """Execute on a related instance; realize(j, law) -> realized size
-        X_j. Returns [(job, machine, realized size)] in arrival order."""
-        trunc = [0.0] * inst.m
-        trace = []
+    def schedule(self, inst, trials, size_of):
+        """Yield (job, machine per trial, size per trial) for the jobs of a
+        related instance in arrival order, in every trial at once.
+        size_of(j) gives job j's realized size per trial; the machine is the
+        argmin over the trials x group truncated loads (first occurrence
+        over sorted ids, so ties go to the lowest id)."""
+        speeds = np.array([float(s) for s in inst.speeds])
+        groups = [np.array(sorted(ids), dtype=np.intp) for ids in self.group_machines]
+        rows = np.arange(trials)
+        trunc = np.zeros((trials, inst.m))
         for j in range(inst.n):
-            ids = self.group_machines[self.group_of_job[j]]
-            machine = min(ids, key=lambda i: (trunc[i], i))
-            value = float(realize(j, inst.jobs[j]))
-            scaled = value / float(inst.speeds[machine])
-            if scaled < self.tau:
-                trunc[machine] += scaled
-            trace.append((j, machine, value))
-        return trace
+            ids = groups[self.group_of_job[j]]
+            machine = ids[np.argmin(trunc[:, ids], axis=1)]
+            size = size_of(j)
+            scaled = size / speeds[machine]
+            trunc[rows, machine] += np.where(scaled < self.tau, scaled, 0.0)
+            yield j, machine, size
+
+    def simulate(self, sim):
+        """Run in every trial of a cfgbal.simulate.Trials at once."""
+        jobs = sim.inst.jobs
+        for j, machine, size in self.schedule(sim.inst, sim.trials, lambda j: sim.realized(j, jobs[j])):
+            sim.commit_each(j, machine, size)
+
+    def run(self, inst, realize):
+        """Execute one trace on a related instance; realize(j, law) ->
+        realized size X_j. Returns [(job, machine, realized size)] in
+        arrival order."""
+        steps = self.schedule(inst, 1, lambda j: np.array([float(realize(j, inst.jobs[j]))]))
+        return [(j, int(machine[0]), float(size[0])) for j, machine, size in steps]
 
 
 def offline_related(r, rng, eps=1e-3):

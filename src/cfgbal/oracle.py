@@ -244,8 +244,37 @@ class RestartPolicy:
         self.tau = Fraction(tau)
         self.committed_configs = set()
 
-    def _opt_choice(self, remaining, opt_loads):
-        return self.oracle.choice(remaining, opt_loads)
+    def _opt_commit(self, remaining, opt_loads):
+        """OPT's (request, config) at (remaining, opt_loads), or None when
+        that configuration has E[max] > tau and the policy restarts OPT on
+        the same set with fresh loads instead."""
+        j, c = self.oracle.choice(remaining, opt_loads)
+        if self.oracle.table[j][c][0] <= self.tau:
+            return j, c
+        if opt_loads == self.oracle.zero_loads:
+            raise ValidationError(
+                f"tau {self.tau} is below E[max] of OPT's first decision; "
+                "the restart policy needs tau >= 2 E[OPT]"
+            )
+        return None
+
+    def decide(self, remaining, loads, opt_loads):
+        """(request, config, OPT's loads) committed next from a state; the
+        true loads are not consulted. The state policy form that
+        cfgbal.simulate.Trials.walk runs."""
+        choice = self._opt_commit(remaining, opt_loads)
+        if choice is None:
+            opt_loads = self.oracle.zero_loads
+            choice = self._opt_commit(remaining, opt_loads)
+        return (*choice, opt_loads)
+
+    def after(self, opt_loads, j, c, k):
+        """OPT's loads once (j, c) realizes its k-th support point: fresh
+        after an exceptional realization (a_max * v >= tau)."""
+        _, _, peak, increments = self.oracle.table[j][c][2][k]
+        if peak >= self.tau:
+            return self.oracle.zero_loads
+        return add_load(opt_loads, increments)
 
     def value(self):
         """Exact (expected makespan, expected total exceptional load)."""
@@ -260,31 +289,20 @@ class RestartPolicy:
             cached = memo.get(key)
             if cached is not None:
                 return cached
-            j, c = self._opt_choice(remaining, opt_loads)
-            expected_max, _, outcomes = table[j][c]
-            if expected_max > tau:
-                # too large: restart OPT on the same set with fresh loads
-                if opt_loads == self.oracle.zero_loads:
-                    raise ValidationError(
-                        f"tau {tau} is below E[max] of OPT's first decision; "
-                        "the restart policy needs tau >= 2 E[OPT]"
-                    )
+            choice = self._opt_commit(remaining, opt_loads)
+            if choice is None:
                 result = walk(remaining, self.oracle.zero_loads, true_loads)
                 memo[key] = result
                 return result
+            j, c = choice
             self.committed_configs.add((j, c))
             rest = remaining - {j}
             mk = Fraction(0)
             exc = Fraction(0)
-            for _, p, peak, increments in outcomes:
-                new_true = add_load(true_loads, increments)
-                if peak >= tau:
-                    step_exc = peak
-                    sub_mk, sub_exc = walk(rest, self.oracle.zero_loads, new_true)
-                else:
-                    step_exc = Fraction(0)
-                    new_opt = add_load(opt_loads, increments)
-                    sub_mk, sub_exc = walk(rest, new_opt, new_true)
+            for k, (_, p, peak, increments) in enumerate(table[j][c][2]):
+                step_exc = peak if peak >= tau else Fraction(0)
+                new_opt = self.after(opt_loads, j, c, k)
+                sub_mk, sub_exc = walk(rest, new_opt, add_load(true_loads, increments))
                 mk += p * sub_mk
                 exc += p * (step_exc + sub_exc)
             memo[key] = (mk, exc)
@@ -294,33 +312,31 @@ class RestartPolicy:
         mk, exc = walk(self.oracle.all_ids, zero, zero)
         return PolicyValue(mk, exc)
 
-    def run(self, inst, realize):
-        """Execute one realized trajectory; realize(request id, law) -> the
-        chosen configuration's realized scalar.
+    def simulate(self, sim):
+        """Run in every trial of a cfgbal.simulate.Trials at once: one walk
+        of the decision tree on exact OPT loads."""
+        sim.walk(self.decide, self.after, self.oracle.zero_loads)
 
-        Returns the trace as (request id, config id, realized value) records.
+    def run(self, inst, realize):
+        """Execute one trajectory; realize(request id, law) -> a support
+        value of the chosen configuration's law (compared as floats).
+
+        Returns the trace as (request id, config id, support value) records.
         """
-        remaining = set(self.oracle.all_ids)
+        remaining = self.oracle.all_ids
         opt_loads = self.oracle.zero_loads
         trace = []
         while remaining:
-            j, c = self._opt_choice(frozenset(remaining), opt_loads)
-            expected_max, a_max, _ = self.oracle.table[j][c]
-            if expected_max > self.tau:
-                if opt_loads == self.oracle.zero_loads:
-                    raise ValidationError("stuck restart: tau too small")
-                opt_loads = self.oracle.zero_loads
-                continue
-            config = self.oracle.by_id[j].configs[c]
-            v = Fraction(realize(j, config.law))
-            trace.append((j, c, v))
-            remaining.discard(j)
-            if a_max * v >= self.tau:
-                opt_loads = self.oracle.zero_loads
-            else:
-                opt_loads = tuple(
-                    L + a * v for L, a in zip(opt_loads, config.multipliers)
-                )
+            j, c, opt_loads = self.decide(remaining, None, opt_loads)
+            law = self.oracle.by_id[j].configs[c].law
+            x = float(realize(j, law))
+            values = [float(v) for v, _ in law.support]
+            if x not in values:
+                raise ValidationError(f"request {j} cannot realize {x} under config {c}")
+            k = values.index(x)
+            trace.append((j, c, law.support[k][0]))
+            opt_loads = self.after(opt_loads, j, c, k)
+            remaining = remaining - {j}
         return trace
 
 

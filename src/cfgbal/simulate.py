@@ -1,17 +1,27 @@
 """Monte-Carlo policy evaluation and expected-maximum estimation.
 
-Realizations come from counter-based Philox streams keyed (seed, request);
-trial t of request j reads position t of that stream, so every realized
-value is fixed by (seed, trial, request) independently of scheduling or
-decision order. One uniform drives a request's scalar through each law's
-inverse CDF, which also couples the alternative configuration laws of one
+Realizations come from counter-based Philox streams keyed (seed, request
+id); trial t of a request reads position t of its stream, so every realized
+value is fixed by (seed, trial, request id) independently of scheduling,
+decision order and the order the instance lists its requests in. A
+realization is a support index: the trial's uniform picks an index into the
+support of each law the request may realize through that law's inverse CDF.
+One uniform thereby couples the alternative configuration laws of one
 request (they are never jointly observed, so the coupling is statistically
 invisible to any single policy).
+
+Every policy runs across all trials at once. A non-adaptive assignment adds
+each request's realized column to its resources; group list scheduling
+works job by job on trials x group arrays; a deterministic state policy
+(the oracle's decision rule, the restart transform) walks its decision tree
+once, deciding once per node and splitting the node's trials by the support
+index they realize.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,40 +37,211 @@ MASK64 = (1 << 64) - 1
 
 
 def request_stream(seed, request):
-    """Philox generator dedicated to one (seed, request) pair."""
+    """Philox generator dedicated to one (seed, request id) pair."""
     key = np.array([seed & MASK64, request & MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniform_table(seed, n_requests, trials):
-    """Array [trials, n_requests] of the per-(trial, request) uniforms."""
-    table = np.empty((trials, n_requests))
-    for j in range(n_requests):
-        table[:, j] = request_stream(seed, j).random(trials)
+def uniform_table(seed, requests, trials):
+    """Array [trials, len(requests)] of the per-(trial, request) uniforms;
+    requests lists request ids, or is a count n for the ids 0..n-1."""
+    ids = range(requests) if isinstance(requests, (int, np.integer)) else requests
+    table = np.empty((trials, len(ids)))
+    for col, j in enumerate(ids):
+        table[:, col] = request_stream(seed, j).random(trials)
     return table
+
+
+def support_indices(law, uniforms):
+    """Vectorized inverse CDF of a discrete law, as indices into its support."""
+    probs = np.cumsum([float(p) for _, p in law.support])
+    return np.minimum(np.searchsorted(probs, uniforms, side="right"), len(probs) - 1)
 
 
 def law_quantiles(law, uniforms):
     """Vectorized inverse CDF of a discrete law."""
-    probs = np.cumsum([float(p) for _, p in law.support])
     values = np.array([float(v) for v, _ in law.support])
-    idx = np.minimum(np.searchsorted(probs, uniforms, side="right"), len(values) - 1)
-    return values[idx]
+    return values[support_indices(law, uniforms)]
+
+
+class Effect(NamedTuple):
+    """What committing one (request, choice) does: its law, the resources
+    with a nonzero multiplier, those multipliers as floats, and the largest
+    one, a_max."""
+
+    law: object
+    resources: np.ndarray
+    mults: np.ndarray
+    a_max: float
+
+
+def _effect(law, resources, mults):
+    return Effect(law, np.array(resources, dtype=np.intp), np.array(mults), max(mults, default=0.0))
+
+
+def _require(option, count, what, owner):
+    if option not in range(count):
+        raise ValidationError(f"policy chose {what} {option!r}; {owner} has {count}")
+
+
+class Trials:
+    """One simulation: its realizations, keyed by request id, and the
+    per-trial loads and exceptional totals of what has been committed.
+
+    Configuration instances carry request ids; the requests of the other
+    kinds are their positions. Loads accumulate per trial in commitment
+    order as L + a * v, with a = float(a) for configurations, 1.0 for
+    unrelated machines, 1.0 / float(speed) for related machines and
+    1.0 / float(capacity) on each edge of a route; a realization with
+    a_max * v >= tau adds a_max * v to the trial's exceptional total.
+    """
+
+    def __init__(self, inst, trials, seed, tau=None):
+        if trials < 1:
+            raise ValueError("need at least one trial")
+        if isinstance(inst, ConfigInstance):
+            self.ids = [r.id for r in inst.requests]
+        elif isinstance(inst, (UnrelatedInstance, RelatedInstance, RoutingInstance)):
+            self.ids = list(range(inst.n))
+        else:
+            raise TypeError(f"cannot simulate on {type(inst).__name__}")
+        self.position = {j: k for k, j in enumerate(self.ids)}
+        if len(self.position) != len(self.ids):
+            raise ValidationError("request ids are not unique")
+        self.inst = inst
+        self.trials = trials
+        self.seed = seed
+        self.tau = None if tau is None else float(tau)
+        self.uniforms = uniform_table(seed, self.ids, trials)
+        self.loads = np.zeros((trials, inst.m))
+        self.exc = np.zeros(trials)
+        self._effects = {}
+        self._index = {}
+
+    def effect(self, j, choice):
+        """The Effect of (request id, choice), built on first use;
+        ValidationError when the instance has no such request or option."""
+        key = (j, tuple(choice) if isinstance(choice, list) else choice)
+        effect = self._effects.get(key)
+        if effect is None:
+            effect = self._effects[key] = self._build(j, choice)
+        return effect
+
+    def _build(self, j, choice):
+        inst = self.inst
+        k = self.position.get(j)
+        if k is None:
+            raise ValidationError(f"policy chose request {j!r}; the instance has no such request")
+        if isinstance(inst, ConfigInstance):
+            configs = inst.requests[k].configs
+            _require(choice, len(configs), "configuration", f"request {j}")
+            config = configs[choice]
+            mult = [float(a) for a in config.multipliers]
+            resources = [i for i, a in enumerate(mult) if a]
+            return _effect(config.law, resources, [mult[i] for i in resources])
+        if isinstance(inst, RoutingInstance):
+            for e in choice:
+                _require(e, inst.m, "edge", f"request {j}")
+            edges = sorted(set(choice))
+            return _effect(inst.requests[k][2], edges, [1.0 / float(inst.edges[e][2]) for e in edges])
+        _require(choice, inst.m, "machine", f"request {j}")
+        if isinstance(inst, UnrelatedInstance):
+            return _effect(inst.jobs[k][choice], [choice], [1.0])
+        return _effect(inst.jobs[k], [choice], [1.0 / float(inst.speeds[choice])])
+
+    def uniform(self, j):
+        return self.uniforms[:, self.position[j]]
+
+    def realized(self, j, law):
+        """Value of law realized by request j, per trial."""
+        return law_quantiles(law, self.uniform(j))
+
+    def index(self, j, law):
+        """Support index of law realized by request j, per trial."""
+        key = (j, law)
+        idx = self._index.get(key)
+        if idx is None:
+            idx = self._index[key] = support_indices(law, self.uniform(j))
+        return idx
+
+    def commit(self, rows, j, choice, x):
+        """Commit (j, choice) in the trials rows (None: every trial), which
+        realize the value x (per row, or one for all)."""
+        effect = self.effect(j, choice)
+        if rows is None:
+            # column adds: fancy indexing over every trial costs a third more
+            rows = slice(None)
+            for i, a in zip(effect.resources.tolist(), effect.mults.tolist()):
+                self.loads[:, i] += a * x
+        else:
+            self.loads[np.ix_(rows, effect.resources)] += np.multiply.outer(x, effect.mults)
+        if self.tau is not None and effect.a_max > 0:
+            peak = effect.a_max * x
+            self.exc[rows] += np.where(peak >= self.tau, peak, 0.0)
+
+    def commit_each(self, j, choices, x):
+        """Commit request j in every trial with a per-trial machine choice,
+        realizing x per trial (a machine's effect is one resource). Each
+        (job, machine) pair comes up once, so its effect is not memoized."""
+        options = np.unique(choices)
+        effects = [self._build(j, c) for c in options.tolist()]
+        pos = np.searchsorted(options, choices)
+        resource = np.array([e.resources[0] for e in effects])[pos]
+        mult = np.array([e.a_max for e in effects])[pos]
+        self.loads[np.arange(self.trials), resource] += mult * x
+        if self.tau is not None:
+            peak = mult * x
+            self.exc += np.where(peak >= self.tau, peak, 0.0)
+
+    def walk(self, decide, after=None, state=None):
+        """Run a deterministic state policy in every trial.
+
+        decide(remaining ids, loads, state) -> (request, choice, state) is
+        asked once per node of the decision tree, where loads is the float
+        load tuple every trial at the node shares; after(state, request,
+        choice, k) -> state is the policy's state once that commitment
+        realized support index k (state stays None without after). The
+        node's trials then split by the support index they realize.
+        """
+        stack = [(np.arange(self.trials), frozenset(self.ids), state)]
+        while stack:
+            rows, remaining, state = stack.pop()
+            if not remaining:
+                continue
+            loads = tuple(self.loads[rows[0]].tolist())
+            j, c, state = decide(remaining, loads, state)
+            if j not in remaining:
+                raise ValidationError(f"policy chose request {j!r}, which is not pending")
+            law = self.effect(j, c).law
+            ks = self.index(j, law)[rows]
+            rest = remaining - {j}
+            for k in np.unique(ks).tolist():
+                sub = rows[ks == k]
+                self.commit(sub, j, c, float(law.support[k][0]))
+                stack.append((sub, rest, after(state, j, c, k) if after else None))
+
+    def report(self, resource_means=None):
+        """SimulationReport of the committed trials; resource_means defaults
+        to the loads summed over the trials in trial order."""
+        if resource_means is None:
+            resource_means = np.cumsum(self.loads, axis=0)[-1] / self.trials
+        makespans = self.loads.max(axis=1, initial=0.0)
+        trials = self.trials
+        return SimulationReport(
+            trials,
+            self.seed,
+            float(makespans.mean()),
+            float(makespans.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
+            [float(v) for v in resource_means],
+            float(self.exc.mean()),
+        )
 
 
 class NonAdaptiveAssignment:
-    """Fixed choice per request; runs in ascending request order."""
+    """Fixed choice per request; runs in ascending request id order."""
 
     def __init__(self, assignment):
         self.assignment = dict(assignment)
-
-    def run(self, inst, realize):
-        trace = []
-        for j in sorted(self.assignment):
-            choice = self.assignment[j]
-            law, _, _ = _choice_law_and_effect(inst, j, choice)
-            trace.append((j, choice, float(realize(j, law))))
-        return trace
 
 
 class SimulationReport:
@@ -92,159 +273,37 @@ class SimulationReport:
         }
 
 
-def _choice_law_and_effect(inst, j, choice):
-    """law, per-resource multiplier vector, and max multiplier of a chosen
-    configuration, uniformly across instance kinds; ValidationError when
-    the policy names a request or an option the instance does not have."""
-    _require(j, inst.n, "request", "the instance")
-    if isinstance(inst, ConfigInstance):
-        configs = inst.requests[j].configs
-        _require(choice, len(configs), "configuration", f"request {j}")
-        config = configs[choice]
-        mult = [float(a) for a in config.multipliers]
-        return config.law, mult, max(mult)
-    if isinstance(inst, (UnrelatedInstance, RelatedInstance)):
-        _require(choice, inst.m, "machine", f"request {j}")
-    if isinstance(inst, UnrelatedInstance):
-        mult = [0.0] * inst.m
-        mult[choice] = 1.0
-        return inst.jobs[j][choice], mult, 1.0
-    if isinstance(inst, RelatedInstance):
-        mult = [0.0] * inst.m
-        mult[choice] = 1.0 / float(inst.speeds[choice])
-        return inst.jobs[j], mult, mult[choice]
-    if isinstance(inst, RoutingInstance):
-        law = inst.requests[j][2]
-        mult = [0.0] * inst.m
-        for e in choice:
-            _require(e, inst.m, "edge", f"request {j}")
-            mult[e] = 1.0 / float(inst.edges[e][2])
-        return law, mult, max(mult) if choice else 0.0
-    raise TypeError(f"cannot simulate on {type(inst).__name__}")
-
-
-def _require(option, count, what, owner):
-    if option not in range(count):
-        raise ValidationError(f"policy chose {what} {option!r}; {owner} has {count}")
-
-
 def simulate_policy(inst, policy, trials, seed, tau=None):
     """Estimate the expected makespan of a policy by independent trials.
 
-    The policy's run(inst, realize) is called once per trial with realize
-    bound to that trial's row of the realization table; adaptive policies
-    therefore observe exactly the realizations of requests they committed.
+    A NonAdaptiveAssignment commits each request's realized column in
+    ascending id order. Any other policy runs through its simulate(trials)
+    method, which commits into every trial of a Trials at once; adaptive
+    policies observe exactly the realizations of requests they committed.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    n = inst.n
-    uniforms = uniform_table(seed, n, trials)
-    fast = isinstance(policy, NonAdaptiveAssignment)
-    if fast:
-        trace0 = policy.run(inst, lambda j, law: 0.0)
-        choices = {j: choice for j, choice, _ in trace0}
-        loads = np.zeros((trials, inst.m))
-        exc = np.zeros(trials)
-        for j in sorted(choices):
-            law, mult, a_max = _choice_law_and_effect(inst, j, choices[j])
-            x = law_quantiles(law, uniforms[:, j])
-            for i, a in enumerate(mult):
-                if a:
-                    loads[:, i] += a * x
-            if tau is not None and a_max > 0:
-                peak = a_max * x
-                exc += np.where(peak >= float(tau), peak, 0.0)
-        makespans = loads.max(axis=1)
-        return SimulationReport(
-            trials,
-            seed,
-            float(makespans.mean()),
-            float(makespans.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-            [float(v) for v in loads.mean(axis=0)],
-            float(exc.mean()) if tau is not None else 0.0,
-        )
-
-    quantile_cache = {}
-
-    def realized(trial, j, law):
-        key = (j, law)
-        col = quantile_cache.get(key)
-        if col is None:
-            col = law_quantiles(law, uniforms[:, j])
-            quantile_cache[key] = col
-        return col[trial]
-
-    makespans = np.empty(trials)
-    loads_acc = np.zeros(inst.m)
-    exc_acc = np.zeros(trials)
-    for t in range(trials):
-
-        def realize(j, law, _t=t):
-            return realized(_t, j, law)
-
-        trace = policy.run(inst, realize)
-        loads = np.zeros(inst.m)
-        exc_total = 0.0
-        for j, choice, value in trace:
-            _, mult, a_max = _choice_law_and_effect(inst, j, choice)
-            for i, a in enumerate(mult):
-                if a:
-                    loads[i] += a * float(value)
-            if tau is not None and a_max > 0:
-                peak = a_max * float(value)
-                if peak >= float(tau):
-                    exc_total += peak
-        makespans[t] = loads.max() if inst.m else 0.0
-        loads_acc += loads
-        exc_acc[t] = exc_total
-    return SimulationReport(
-        trials,
-        seed,
-        float(makespans.mean()),
-        float(makespans.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-        [float(v) for v in loads_acc / trials],
-        float(exc_acc.mean()) if tau is not None else 0.0,
-    )
+    sim = Trials(inst, trials, seed, tau)
+    if isinstance(policy, NonAdaptiveAssignment):
+        for j in sorted(policy.assignment):
+            choice = policy.assignment[j]
+            law = sim.effect(j, choice).law
+            sim.commit(None, j, choice, sim.realized(j, law))
+        return sim.report(sim.loads.mean(axis=0))
+    if not hasattr(policy, "simulate"):
+        raise TypeError(f"{type(policy).__name__} has no batched simulate(trials) method")
+    policy.simulate(sim)
+    return sim.report()
 
 
 def simulate_adaptive_config(inst, policy_fn, trials, seed, tau=None):
-    """Trial-wise simulation for adaptive policies on configuration
-    instances, where the realized scalar depends on the chosen
+    """Simulate a deterministic decision function on a configuration
+    instance, where the realized scalar depends on the chosen
     configuration. policy_fn(remaining ids, loads) -> (request, config);
     the policy observes float loads."""
     if tau is not None:
         check_tau(tau)
-    uniforms = uniform_table(seed, inst.n, trials)
-    by_id = {r.id: r for r in inst.requests}
-    makespans = np.empty(trials)
-    exc_acc = np.zeros(trials)
-    loads_acc = np.zeros(inst.m)
-    for t in range(trials):
-        remaining = frozenset(by_id)
-        loads = tuple(0.0 for _ in range(inst.m))
-        exc_total = 0.0
-        while remaining:
-            j, c = policy_fn(remaining, loads)
-            config = by_id[j].configs[c]
-            v = float(law_quantiles(config.law, uniforms[t : t + 1, j])[0])
-            loads = tuple(
-                L + float(a) * v for L, a in zip(loads, config.multipliers)
-            )
-            peak = float(config.max_multiplier) * v
-            if tau is not None and peak >= float(tau):
-                exc_total += peak
-            remaining = remaining - {j}
-        makespans[t] = max(loads)
-        exc_acc[t] = exc_total
-        loads_acc += np.array(loads)
-    return SimulationReport(
-        trials,
-        seed,
-        float(makespans.mean()),
-        float(makespans.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-        [float(v) for v in loads_acc / trials],
-        float(exc_acc.mean()),
-    )
+    sim = Trials(inst, trials, seed, tau)
+    sim.walk(lambda remaining, loads, _: (*policy_fn(remaining, loads), None))
+    return sim.report()
 
 
 # ---------------------------------------------------------------------------

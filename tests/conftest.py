@@ -5,6 +5,7 @@ and LP machinery so the tests cross-check two genuinely different routes to
 the same quantity.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -251,3 +252,236 @@ def brute_force_config_policy(inst, decide, tau, restart=False):
         return mk, exc
 
     return go(frozenset(configs), zero, zero)
+
+
+# ---------------------------------------------------------------------------
+# per-trial reference simulators: the one-trial-at-a-time loops the batched
+# simulator in cfgbal.simulate replaced, kept as the reference it must match
+# bit for bit wherever request ids equal positions
+
+
+def reference_choice_law_and_effect(inst, j, choice):
+    """law, per-resource multiplier vector, and max multiplier of a chosen
+    configuration, indexing requests by position."""
+    from cfgbal.instances import ConfigInstance, RelatedInstance, RoutingInstance, UnrelatedInstance
+
+    if isinstance(inst, ConfigInstance):
+        config = inst.requests[j].configs[choice]
+        mult = [float(a) for a in config.multipliers]
+        return config.law, mult, max(mult)
+    if isinstance(inst, UnrelatedInstance):
+        mult = [0.0] * inst.m
+        mult[choice] = 1.0
+        return inst.jobs[j][choice], mult, 1.0
+    if isinstance(inst, RelatedInstance):
+        mult = [0.0] * inst.m
+        mult[choice] = 1.0 / float(inst.speeds[choice])
+        return inst.jobs[j], mult, mult[choice]
+    if isinstance(inst, RoutingInstance):
+        law = inst.requests[j][2]
+        mult = [0.0] * inst.m
+        for e in choice:
+            mult[e] = 1.0 / float(inst.edges[e][2])
+        return law, mult, max(mult) if choice else 0.0
+    raise TypeError(f"cannot simulate on {type(inst).__name__}")
+
+
+def reference_simulate_policy(inst, run, trials, seed, tau=None):
+    """SimulationReport of run(inst, realize) called once per trial."""
+    from cfgbal.simulate import SimulationReport, law_quantiles, uniform_table
+
+    uniforms = uniform_table(seed, inst.n, trials)
+    quantile_cache = {}
+
+    def realized(trial, j, law):
+        key = (j, law)
+        col = quantile_cache.get(key)
+        if col is None:
+            col = law_quantiles(law, uniforms[:, j])
+            quantile_cache[key] = col
+        return col[trial]
+
+    makespans = np.empty(trials)
+    loads_acc = np.zeros(inst.m)
+    exc_acc = np.zeros(trials)
+    for t in range(trials):
+
+        def realize(j, law, _t=t):
+            return realized(_t, j, law)
+
+        trace = run(inst, realize)
+        loads = np.zeros(inst.m)
+        exc_total = 0.0
+        for j, choice, value in trace:
+            _, mult, a_max = reference_choice_law_and_effect(inst, j, choice)
+            for i, a in enumerate(mult):
+                if a:
+                    loads[i] += a * float(value)
+            if tau is not None and a_max > 0:
+                peak = a_max * float(value)
+                if peak >= float(tau):
+                    exc_total += peak
+        makespans[t] = loads.max() if inst.m else 0.0
+        loads_acc += loads
+        exc_acc[t] = exc_total
+    return SimulationReport(
+        trials,
+        seed,
+        float(makespans.mean()),
+        float(makespans.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
+        [float(v) for v in loads_acc / trials],
+        float(exc_acc.mean()) if tau is not None else 0.0,
+    )
+
+
+def reference_simulate_adaptive_config(inst, policy_fn, trials, seed, tau=None):
+    """Trial-wise simulation of policy_fn(remaining ids, float loads)."""
+    from cfgbal.simulate import SimulationReport, law_quantiles, uniform_table
+
+    uniforms = uniform_table(seed, inst.n, trials)
+    by_id = {r.id: r for r in inst.requests}
+    makespans = np.empty(trials)
+    exc_acc = np.zeros(trials)
+    loads_acc = np.zeros(inst.m)
+    for t in range(trials):
+        remaining = frozenset(by_id)
+        loads = tuple(0.0 for _ in range(inst.m))
+        exc_total = 0.0
+        while remaining:
+            j, c = policy_fn(remaining, loads)
+            config = by_id[j].configs[c]
+            v = float(law_quantiles(config.law, uniforms[t : t + 1, j])[0])
+            loads = tuple(
+                L + float(a) * v for L, a in zip(loads, config.multipliers)
+            )
+            peak = float(config.max_multiplier) * v
+            if tau is not None and peak >= float(tau):
+                exc_total += peak
+            remaining = remaining - {j}
+        makespans[t] = max(loads)
+        exc_acc[t] = exc_total
+        loads_acc += np.array(loads)
+    return SimulationReport(
+        trials,
+        seed,
+        float(makespans.mean()),
+        float(makespans.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
+        [float(v) for v in loads_acc / trials],
+        float(exc_acc.mean()),
+    )
+
+
+def reference_group_list_run(policy, inst, realize):
+    """One trace of a GroupListSchedulePolicy, job by job."""
+    trunc = [0.0] * inst.m
+    trace = []
+    for j in range(inst.n):
+        ids = policy.group_machines[policy.group_of_job[j]]
+        machine = min(ids, key=lambda i: (trunc[i], i))
+        value = float(realize(j, inst.jobs[j]))
+        scaled = value / float(inst.speeds[machine])
+        if scaled < policy.tau:
+            trunc[machine] += scaled
+        trace.append((j, machine, value))
+    return trace
+
+
+def reference_restart_run(policy, inst, realize):
+    """One trace of a RestartPolicy, with OPT's loads built from the
+    realized values read back as Fractions."""
+    oracle = policy.oracle
+    remaining = set(oracle.all_ids)
+    opt_loads = oracle.zero_loads
+    trace = []
+    while remaining:
+        j, c = oracle.choice(frozenset(remaining), opt_loads)
+        expected_max, a_max, _ = oracle.table[j][c]
+        if expected_max > policy.tau:
+            if opt_loads == oracle.zero_loads:
+                raise AssertionError("stuck restart: tau too small")
+            opt_loads = oracle.zero_loads
+            continue
+        config = oracle.by_id[j].configs[c]
+        v = Fraction(realize(j, config.law))
+        trace.append((j, c, v))
+        remaining.discard(j)
+        if a_max * v >= policy.tau:
+            opt_loads = oracle.zero_loads
+        else:
+            opt_loads = tuple(L + a * v for L, a in zip(opt_loads, config.multipliers))
+    return trace
+
+
+# ---------------------------------------------------------------------------
+# recursive reference walks of cfgbal.graphs
+
+
+def _reference_adjacency(edges, edge_ids):
+    adj = {}
+    for e in edge_ids:
+        tail, head, _ = edges[e]
+        adj.setdefault(tail, []).append((head, e))
+    for lst in adj.values():
+        lst.sort(key=lambda he: (he[0], he[1]))
+    return adj
+
+
+def reference_simple_paths(n_vertices, edges, edge_ids, source, sink):
+    """All simple source-sink paths in canonical order, recursively."""
+    adj = _reference_adjacency(edges, edge_ids)
+    path = []
+    visited = {source}
+
+    def walk(u):
+        if u == sink:
+            yield tuple(path)
+            return
+        for v, e in adj.get(u, ()):
+            if v in visited:
+                continue
+            visited.add(v)
+            path.append(e)
+            yield from walk(v)
+            path.pop()
+            visited.remove(v)
+
+    return list(walk(source))
+
+
+def reference_lex_shortest_path(n_vertices, edges, edge_ids, weights, source, sink):
+    """Canonically smallest minimum-weight path by a recursive walk of the
+    tight edges with backtracking."""
+    from cfgbal.graphs import REL_TOL, dijkstra_to_sink
+
+    dist = dijkstra_to_sink(n_vertices, edges, edge_ids, weights, sink)
+    if source not in dist:
+        return None
+    adj = _reference_adjacency(edges, edge_ids)
+
+    def tight(u, v, e):
+        if v not in dist:
+            return False
+        target = dist[u]
+        tol = REL_TOL * max(1.0, abs(target))
+        return abs(weights[e] + dist[v] - target) <= tol
+
+    path = []
+    visited = {source}
+
+    def walk(u):
+        if u == sink:
+            return True
+        for v, e in adj.get(u, ()):
+            if v in visited or not tight(u, v, e):
+                continue
+            visited.add(v)
+            path.append(e)
+            if walk(v):
+                return True
+            path.pop()
+            visited.remove(v)
+        return False
+
+    if not walk(source):
+        return None
+    return tuple(path)
