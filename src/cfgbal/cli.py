@@ -3,10 +3,10 @@ runs, the exact oracle, LP checks, expected-max estimation, and simulation.
 
 All configuration comes through flags; no environment variables are read.
 Exit codes: 0 success (including the trivial all-zero-demand case), 2 for
-Infeasible/Fail verdicts (the report carries the certificate), 1 for errors,
-solver failures and instances of the wrong kind. Reports are plain text or
-CSV written with repr-formatted numbers, so a fixed seed reproduces files
-byte for byte.
+an lp-check Infeasible verdict (the output carries the certificate), 1 for
+errors, solver failures and instances of the wrong kind. Reports are plain
+text or CSV written with repr-formatted numbers, so a fixed seed reproduces
+files byte for byte.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .distributions import ValidationError
 from .instance_io import ParseError, read_instance, write_instance
@@ -93,6 +92,31 @@ def parse_tau(text):
     return tau
 
 
+def read_policy_file(path):
+    """The choices of a policy file: {"choices": {"<request id>": choice}},
+    a choice being an int or a list of ints (a path, read as a tuple).
+    ParseError names the file and the field at fault."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ParseError(f"policy file {path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("choices"), dict):
+        raise ParseError(f"policy file {path}: expected an object field 'choices'")
+    choices = {}
+    for key, value in doc["choices"].items():
+        if isinstance(value, list):
+            value = tuple(value)
+        parts = value if isinstance(value, tuple) else (value,)
+        if not re.fullmatch(r"-?[0-9]+", key) or not all(type(v) is int for v in parts):
+            raise ParseError(
+                f"policy file {path}: choices[{key!r}] must map an integer id to "
+                f"an int or a list of ints, got {value!r}"
+            )
+        choices[int(key)] = value
+    return choices
+
+
 def report_lines(title, pairs):
     lines = [f"# {title}"]
     for key, value in pairs:
@@ -101,6 +125,7 @@ def report_lines(title, pairs):
 
 
 def simulation_csv(report):
+    """The header and the one row of a simulation's CSV report."""
     header = "trials,seed,mean_makespan,stderr,mean_exceptional," + ",".join(
         f"load_{i}" for i in range(len(report.resource_means))
     )
@@ -114,7 +139,7 @@ def simulation_csv(report):
         ]
         + [repr(v) for v in report.resource_means]
     )
-    return header + "\n" + row + "\n"
+    return [header, row]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +201,7 @@ def cmd_offline(args):
     for i, load in enumerate(report.truncated_loads):
         pairs.append((f"truncated_load_{i}", load))
     write_report(report_lines("offline report", pairs), args.report)
-    return EXIT_VERDICT if report.lp_status == "infeasible" else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_online(args):
@@ -243,38 +268,17 @@ def cmd_oracle(args):
         if tau is None:
             raise ValidationError("restart needs --tau")
         _, value = restart_policy(inst, tau)
-        write_report(
-            report_lines(
-                "oracle restart",
-                [
-                    ("tau", tau),
-                    ("expected_makespan", value.makespan),
-                    ("expected_exceptional", value.exceptional),
-                ],
-            ),
-            args.report,
-        )
-        return EXIT_OK
-    if args.what == "eval":
+    elif args.what == "eval":
         if tau is None or not args.policy_file:
             raise ValidationError("eval needs --tau and --policy-file")
-        with open(args.policy_file, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        assignment = {int(k): v for k, v in doc["choices"].items()}
+        assignment = read_policy_file(args.policy_file)
         value = evaluate_policy(inst, non_adaptive_policy(assignment), tau)
-        write_report(
-            report_lines(
-                "oracle eval",
-                [
-                    ("tau", tau),
-                    ("expected_makespan", value.makespan),
-                    ("expected_exceptional", value.exceptional),
-                ],
-            ),
-            args.report,
-        )
-        return EXIT_OK
-    raise ValidationError(f"unknown oracle mode {args.what!r}")
+    else:
+        raise ValidationError(f"unknown oracle mode {args.what!r}")
+    pairs = [("tau", tau), ("expected_makespan", value.makespan),
+             ("expected_exceptional", value.exceptional)]
+    write_report(report_lines(f"oracle {args.what}", pairs), args.report)
+    return EXIT_OK
 
 
 def cmd_lp_check(args):
@@ -317,20 +321,10 @@ def cmd_expmax(args):
 
 def cmd_simulate(args):
     inst = read_instance(getattr(args, "in"))
-    with open(args.policy_file, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    choices = {}
-    for k, v in doc["choices"].items():
-        choices[int(k)] = tuple(v) if isinstance(v, list) else v
-    policy = NonAdaptiveAssignment(choices)
+    policy = NonAdaptiveAssignment(read_policy_file(args.policy_file))
     tau = float(parse_tau(args.tau)) if args.tau is not None else None
     report = simulate_policy(inst, policy, args.trials, args.seed, tau=tau)
-    text = simulation_csv(report)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_report(simulation_csv(report), args.report)
     return EXIT_OK
 
 
@@ -418,7 +412,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; 2 is reserved for
-        # Infeasible/Fail verdicts here
+        # lp-check's Infeasible verdict here
         return 0 if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)

@@ -602,6 +602,8 @@ def random_tiny_instance(kind, rng, n_max=4, m_max=3, q_max=3, support_max=3):
     """Reproducible random instance within oracle-tractable bounds."""
     if n_max > 4 or m_max > 3 or q_max > 3 or support_max > 3:
         raise ValidationError("bounds exceed oracle-tractable limits (4, 3, 3, 3)")
+    if n_max < 1 or m_max < 1:
+        raise ValidationError(f"n_max and m_max must be at least 1, got {n_max} and {m_max}")
     n = int(rng.integers(1, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
     if kind == "config":

@@ -3,9 +3,13 @@ threshold search, and the routing path LP via column generation.
 
 Feasibility is decided by an explicit phase-1 program (minimize total
 constraint violation through artificial variables); a point is feasible iff
-the phase-1 optimum is at most FEAS_TOL. The backend behind
-solve_feasibility is scipy's HiGHS simplex, which is deterministic for a
-fixed input.
+the phase-1 optimum is at most FEAS_TOL. LP_C and the column-generation
+master both go through phase1, the one call of scipy's HiGHS simplex, which
+is deterministic for a fixed input. Both LPs share one threshold search,
+which returns the solution it found at the threshold it returns, so the
+offline drivers round that solution without solving again. Its last
+infeasible midpoint is at least tau * (1 - eps) and certifies
+E[OPT] > tau * (1 - eps) / 2.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ class Infeasible:
 
 
 class LinearProgram:
-    """Dense LP: named variables, rows with sense in {<=, =, >=}, optional
-    objective. Adequate for desk-scale problems (<= 1e4 nonzeros)."""
+    """Dense feasibility LP: named variables, rows with sense in
+    {<=, =, >=}. Adequate for desk-scale problems (<= 1e4 nonzeros)."""
 
     def __init__(self, var_names):
         self.var_names = list(var_names)
@@ -63,75 +67,58 @@ class LinearProgram:
                 raise ValueError(f"coefficient on unknown variable {k}")
         self.rows.append((dict(coeffs), sense, float(rhs), name))
 
-    def to_lp_format(self):
-        """CPLEX-LP text for external cross-checking."""
-        out = ["Minimize", " obj: 0", "Subject To"]
-        for coeffs, sense, rhs, name in self.rows:
-            terms = " ".join(
-                f"{'+' if v >= 0 else '-'} {abs(v)!r} {self.var_names[k]}"
-                for k, v in sorted(coeffs.items())
-            )
-            op = {"<=": "<=", "=": "=", ">=": ">="}[sense]
-            out.append(f" {name}: {terms or '0 ' + self.var_names[0]} {op} {rhs!r}")
-        out.append("Bounds")
-        for v in self.var_names:
-            out.append(f" 0 <= {v}")
-        out.append("End")
-        return "\n".join(out)
+
+def phase1(a_eq, b_eq, a_ub, b_ub):
+    """The one HiGHS call: minimize the total violation of A_eq x = b_eq,
+    A_ub x <= b_ub over x >= 0. Artificial columns follow the structural
+    ones: one per equality row (signed like its right-hand side), then one
+    per <= row with a negative right-hand side. Returns scipy's result over
+    [x, artificials]. Phase 1 is always feasible and bounded, so any
+    non-zero solver status means HiGHS gave up: NumericalFailure."""
+    n = a_eq.shape[1]
+    n_eq, n_ub = len(b_eq), len(b_ub)
+    neg = np.flatnonzero(b_ub < 0)
+    n_art = n_eq + len(neg)
+    full_eq = np.zeros((n_eq, n + n_art))
+    full_eq[:, :n] = a_eq
+    full_eq[np.arange(n_eq), n + np.arange(n_eq)] = np.where(b_eq >= 0, 1.0, -1.0)
+    full_ub = np.zeros((n_ub, n + n_art))
+    full_ub[:, :n] = a_ub
+    full_ub[neg, n + n_eq + np.arange(len(neg))] = -1.0
+    res = linprog(
+        np.concatenate([np.zeros(n), np.ones(n_art)]),
+        A_ub=full_ub if n_ub else None,
+        b_ub=b_ub if n_ub else None,
+        A_eq=full_eq if n_eq else None,
+        b_eq=b_eq if n_eq else None,
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        raise NumericalFailure(f"phase-1 solver status {res.status}: {res.message}")
+    return res
+
+
+def _dense_rows(rows, n):
+    mat = np.zeros((len(rows), n))
+    for r, (coeffs, _) in enumerate(rows):
+        for k, v in coeffs.items():
+            mat[r, k] = float(v)
+    return mat, np.array([rhs for _, rhs in rows], dtype=float)
 
 
 def solve_feasibility(lp):
     """Phase-1 feasibility: a point satisfying all rows within FEAS_TOL, or
-    an Infeasible verdict. Deterministic for fixed input."""
-    n = lp.n_vars
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    art_cols = []  # (row list index into a_eq/a_ub, which, sign)
+    an Infeasible verdict. >= rows enter negated as <= rows."""
+    eq, ub = [], []
     for coeffs, sense, rhs, _ in lp.rows:
         if sense == ">=":
-            coeffs = {k: -v for k, v in coeffs.items()}
-            rhs, sense = -rhs, "<="
-        if sense == "=":
-            a_eq.append(coeffs)
-            b_eq.append(rhs)
-            art_cols.append(("eq", len(a_eq) - 1, 1.0 if rhs >= 0 else -1.0))
-        else:
-            a_ub.append(coeffs)
-            b_ub.append(rhs)
-            if rhs < 0:
-                art_cols.append(("ub", len(a_ub) - 1, -1.0))
-    n_art = len(art_cols)
-    total = n + n_art
-
-    def dense(rows, which):
-        mat = np.zeros((len(rows), total))
-        for r, coeffs in enumerate(rows):
-            for k, v in coeffs.items():
-                mat[r, k] = float(v)
-        for a, (kind, r, sign) in enumerate(art_cols):
-            if kind == which:
-                mat[r, n + a] = sign
-        return mat
-
-    cost = np.concatenate([np.zeros(n), np.ones(n_art)])
-    res = linprog(
-        cost,
-        A_ub=dense(a_ub, "ub") if a_ub else None,
-        b_ub=np.array(b_ub) if a_ub else None,
-        A_eq=dense(a_eq, "eq") if a_eq else None,
-        b_eq=np.array(b_eq) if a_eq else None,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status == 2:
-        # phase-1 is always feasible (x = 0, artificials absorb); reaching
-        # this means the solver gave up
-        raise NumericalFailure(f"phase-1 reported infeasible: {res.message}")
-    if res.status != 0:
-        raise NumericalFailure(f"solver status {res.status}: {res.message}")
+            coeffs, rhs = {k: -v for k, v in coeffs.items()}, -rhs
+        (eq if sense == "=" else ub).append((coeffs, rhs))
+    res = phase1(*_dense_rows(eq, lp.n_vars), *_dense_rows(ub, lp.n_vars))
     if res.fun > FEAS_TOL:
         return Infeasible(f"phase-1 violation {res.fun:.3e}")
-    x = np.clip(res.x[:n], 0.0, None)
-    return x
+    return np.clip(res.x[: lp.n_vars], 0.0, None)
 
 
 class FractionalSolution:
@@ -246,32 +233,44 @@ def solve_lpc(inst, tau):
     return FractionalSolution(weights)
 
 
+def threshold_search(solve, lo, hi, eps):
+    """Bisect for the smallest tau in [lo, hi] at which solve(tau) is
+    feasible, to relative precision eps, assuming feasibility is monotone
+    in tau. Returns (tau, solution) with the solution solve found feasible
+    at that tau, or (0.0, None) when hi <= 0. Every midpoint set as lo was
+    found infeasible, and the last one is at least tau * (1 - eps)."""
+    if hi <= 0:
+        return 0.0, None
+    sol = solve(hi)
+    if isinstance(sol, Infeasible):
+        raise NoFeasibleTau(f"LP infeasible at the upper bound tau={hi}: {sol.reason}")
+    if lo >= hi:
+        return hi, sol
+    if lo > 0:
+        low = solve(lo)
+        if not isinstance(low, Infeasible):
+            return lo, low
+    while hi - lo > eps * hi:
+        mid = 0.5 * (lo + hi)
+        trial = solve(mid)
+        if isinstance(trial, Infeasible):
+            lo = mid
+        else:
+            hi, sol = mid, trial
+    return hi, sol
+
+
 def min_feasible_tau(inst, lo=0.0, hi=None, eps=1e-3):
-    """Binary search for the smallest tau with LP_C(tau) feasible, to
-    relative precision eps. Feasibility is monotone in tau: larger thresholds
-    relax every row and prune fewer configurations."""
+    """(tau, LP_C solution at tau) for the smallest tau with LP_C(tau)
+    feasible, to relative precision eps. Feasibility is monotone in tau:
+    larger thresholds relax every row and prune fewer configurations. The
+    default upper bound sums each request's cheapest E[max]."""
     if hi is None:
         hi = sum(
             float(min(c.expected_max() for c in req.configs))
             for req in inst.requests
         )
-    hi = float(hi)
-    lo = float(lo)
-    if hi <= 0:
-        return 0.0
-    if isinstance(solve_lpc(inst, hi), Infeasible):
-        raise NoFeasibleTau(f"LP_C infeasible at hi={hi}; double hi and retry")
-    if lo >= hi:
-        return hi
-    if lo > 0 and not isinstance(solve_lpc(inst, lo), Infeasible):
-        return lo
-    while hi - lo > eps * hi:
-        mid = 0.5 * (lo + hi)
-        if isinstance(solve_lpc(inst, mid), Infeasible):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return threshold_search(lambda t: solve_lpc(inst, t), float(lo), float(hi), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -314,38 +313,17 @@ def separation_oracle_dp(r, tau, point, tol=FEAS_TOL):
 
 
 def _routing_master(r, tau, views, columns):
-    """Phase-1 master LP for a restricted column set; returns scipy result
-    plus row bookkeeping."""
-    t = float(tau)
+    """Phase-1 master LP for a restricted column set; returns scipy's
+    result and the (request, path) of each structural column."""
     cols = [(j, path) for j, paths in enumerate(columns) for path in sorted(paths)]
-    n_struct = len(cols)
-    n = n_struct + r.n  # artificials, one per request equality
-    a_eq = np.zeros((r.n, n))
-    b_eq = np.ones(r.n)
-    for k, (j, _) in enumerate(cols):
-        a_eq[j, k] = 1.0
-    for j in range(r.n):
-        a_eq[j, n_struct + j] = 1.0
-    n_ub = r.m + 1
-    a_ub = np.zeros((n_ub, n))
-    b_ub = np.full(n_ub, t)
+    a_eq = np.zeros((r.n, len(cols)))
+    a_ub = np.zeros((r.m + 1, len(cols)))
     for k, (j, path) in enumerate(cols):
+        a_eq[j, k] = 1.0
         for e in path:
             a_ub[e, k] += views[j].truncated[e]
         a_ub[r.m, k] = views[j].exceptional(path)
-    cost = np.concatenate([np.zeros(n_struct), np.ones(r.n)])
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise NumericalFailure(f"restricted master: {res.message}")
-    return res, cols, n_struct
+    return phase1(a_eq, np.ones(r.n), a_ub, np.full(r.m + 1, float(tau))), cols
 
 
 def solve_lpp_column_generation(r, tau, tol=FEAS_TOL, max_rounds=200):
@@ -368,14 +346,11 @@ def solve_lpp_column_generation(r, tau, tol=FEAS_TOL, max_rounds=200):
     ]
 
     for _ in range(max_rounds):
-        res, cols, n_struct = _routing_master(r, tau, views, columns)
+        res, cols = _routing_master(r, tau, views, columns)
         if res.fun <= tol:
             weights = {j: [] for j in range(r.n)}
             for k, (j, path) in enumerate(cols):
-                w = float(res.x[k])
-                if w < 0:
-                    w = 0.0
-                weights[j].append((path, w))
+                weights[j].append((path, max(float(res.x[k]), 0.0)))
             return FractionalSolution(weights)
         y_eq = np.asarray(res.eqlin.marginals)
         y_ub = np.asarray(res.ineqlin.marginals)
@@ -394,3 +369,11 @@ def solve_lpp_column_generation(r, tau, tol=FEAS_TOL, max_rounds=200):
         if not added:
             return Infeasible(f"pricing found no improving column; violation {res.fun:.3e}")
     raise NumericalFailure(f"column generation did not converge in {max_rounds} rounds")
+
+
+def min_feasible_tau_routing(r, eps=1e-3):
+    """(tau, path-LP solution at tau) for the smallest tau at which column
+    generation finds the path LP feasible, to relative precision eps; the
+    upper bound sums each request's cheapest expected path cost."""
+    hi = sum(r.min_expected_cost(j) for j in range(r.n))
+    return threshold_search(lambda t: solve_lpp_column_generation(r, t), 0.0, hi, eps)

@@ -1,10 +1,11 @@
 """Offline drivers: threshold search, LP rounding, routing, related machines.
 
-The configuration driver binary-searches the smallest tau with a feasible
-LP, rounds the fractional solution by one independent categorical draw per
-request, and reports the expected loads of the rounded assignment. An
-infeasible LP at tau certifies E[OPT] > tau / 2, which the report carries as
-a lower bound.
+The configuration and routing drivers binary-search the smallest tau with a
+feasible LP, round the solution the search found at that tau by one
+independent categorical draw per request, and report the expected loads of
+the rounded assignment. An infeasible LP at a threshold t certifies
+E[OPT] > t / 2; the search's last infeasible midpoint is at least
+tau * (1 - eps), so the report carries tau * (1 - eps) / 2 as a lower bound.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from .instances import (
     smooth_machines,
     unrelated_to_config,
 )
-from .lp import (
-    Infeasible,
-    NoFeasibleTau,
-    solve_lpc,
-    solve_lpp_column_generation,
-    min_feasible_tau,
-)
+from .lp import min_feasible_tau, min_feasible_tau_routing
 
 
 class OfflineReport:
@@ -99,8 +94,9 @@ def assignment_loads(inst, assignment, tau):
 
 
 def offline_config_balancing(inst, rng, eps=1e-3):
-    """Algorithm: binary-search tau*, solve LP_C, round independently."""
-    tau = min_feasible_tau(inst, eps=eps)
+    """Algorithm: binary-search tau* over LP_C, round its solution
+    independently."""
+    tau, sol = min_feasible_tau(inst, eps=eps)
     if tau <= 0:
         # every request has a zero-cost configuration
         assignment = {
@@ -108,35 +104,9 @@ def offline_config_balancing(inst, rng, eps=1e-3):
             for j, r in enumerate(inst.requests)
         }
         return OfflineReport(0.0, "trivial", assignment, [0.0] * inst.m, 0.0, 0.0)
-    sol = solve_lpc(inst, tau)
-    if isinstance(sol, Infeasible):
-        # infeasibility at tau certifies E[OPT] > tau/2
-        return OfflineReport(tau, "infeasible", {}, [], 0.0, tau / 2.0)
     assignment = randomized_round(sol, rng)
     loads, exc = assignment_loads(inst, assignment, tau)
-    # the largest tau proven infeasible during the search certifies a lower
-    # bound of tau*(1-eps)/2 on E[OPT]; report the conservative form
-    lower = tau * (1.0 - eps) / 2.0
-    return OfflineReport(tau, "feasible", assignment, loads, exc, lower)
-
-
-def min_feasible_tau_routing(r, eps=1e-3):
-    """Binary search over column-generation feasibility of the path LP."""
-    hi = 0.0
-    for j in range(r.n):
-        hi += r.min_expected_cost(j)
-    if hi <= 0:
-        return 0.0
-    if isinstance(solve_lpp_column_generation(r, hi), Infeasible):
-        raise NoFeasibleTau(f"path LP infeasible at hi={hi}")
-    lo = 0.0
-    while hi - lo > eps * hi:
-        mid = 0.5 * (lo + hi)
-        if isinstance(solve_lpp_column_generation(r, mid), Infeasible):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return OfflineReport(tau, "feasible", assignment, loads, exc, tau * (1.0 - eps) / 2.0)
 
 
 def routing_assignment_loads(r, assignment, tau):
@@ -154,13 +124,10 @@ def routing_assignment_loads(r, assignment, tau):
 
 def offline_routing(r, rng, eps=1e-3):
     """Offline routing: tau search via column generation, then independent
-    rounding of the path weights."""
-    tau = min_feasible_tau_routing(r, eps=eps)
+    rounding of the path weights the search found at tau."""
+    tau, sol = min_feasible_tau_routing(r, eps=eps)
     if tau <= 0:
         raise ValidationError("degenerate routing instance with zero demand")
-    sol = solve_lpp_column_generation(r, tau)
-    if isinstance(sol, Infeasible):
-        return OfflineReport(tau, "infeasible", {}, [], 0.0, tau / 2.0)
     assignment = randomized_round(sol, rng)
     loads, exc = routing_assignment_loads(r, assignment, tau)
     return OfflineReport(tau, "feasible", assignment, loads, exc, tau * (1.0 - eps) / 2.0)

@@ -98,7 +98,7 @@ class Trials:
 
     def __init__(self, inst, trials, seed, tau=None):
         if trials < 1:
-            raise ValueError("need at least one trial")
+            raise ValidationError(f"trials must be at least 1, got {trials}")
         if isinstance(inst, ConfigInstance):
             self.ids = [r.id for r in inst.requests]
         elif isinstance(inst, (UnrelatedInstance, RelatedInstance, RoutingInstance)):
@@ -325,6 +325,8 @@ def expmax_regime(name, m, tau=1.0):
 
     from .distributions import DiscreteDistribution
 
+    if m < 1:
+        raise ValidationError(f"m must be at least 1, got {m}")
     ber = DiscreteDistribution([(0, Fraction(m - 1, m)), (tau, Fraction(1, m))])
     if name == "sqrtlog":
         return [[(ber, m)] for _ in range(m)], None
@@ -351,6 +353,8 @@ def estimate_expected_max(per_sum, trials, seed, weights=None):
     through multinomial counts, so astronomically many summands cost O(1).
     Returns (estimate, stderr).
     """
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     m = len(per_sum)
     sums = np.zeros((trials, m))
     for i, parts in enumerate(per_sum):

@@ -290,3 +290,64 @@ class TestRepeatedMain:
             capsys.readouterr()
             assert run_cli(*argv) == 0
             assert capsys.readouterr().out == want
+
+
+class TestInputErrors:
+    """Bad policy files and non-positive counts exit 1 with one error line."""
+
+    @pytest.fixture
+    def gap(self, tmp_path):
+        src = tmp_path / "gap.json"
+        run_cli("gen", "--kind", "gap", "--m", "2", "--tau", "2", "--out", str(src))
+        return str(src)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"choices": {"0": 0', "invalid JSON"),
+            ('{"x": 1}', "'choices'"),
+            ('{"choices": {"a": 0}}', "choices['a']"),
+        ],
+        ids=["truncated-json", "no-choices", "non-integer-key"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate", "--trials", "10"), ("oracle", "--what", "eval", "--tau", "2")],
+        ids=["simulate", "oracle-eval"],
+    )
+    def test_bad_policy_file(self, gap, tmp_path, capsys, text, field, argv):
+        policy = tmp_path / "policy.json"
+        policy.write_text(text)
+        assert run_cli(*argv, "--in", gap, "--policy-file", str(policy)) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert str(policy) in err and field in err
+
+    def test_simulate_zero_trials(self, gap, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"choices": {"0": 0, "1": 0}}))
+        assert run_cli("simulate", "--in", gap, "--policy-file", str(policy), "--trials", "0") == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--regime", "sqrtlog", "--m", "4", "--trials", "0"),
+            ("--regime", "sqrtlog", "--m", "0"),
+            ("--regime", "geo", "--m", "0"),
+        ],
+        ids=["zero-trials", "sqrtlog-zero-m", "geo-zero-m"],
+    )
+    def test_expmax_counts(self, capsys, argv):
+        assert run_cli("expmax", *argv) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("count", ["--n", "--m"])
+    @pytest.mark.parametrize("kind", ["config", "unrelated", "related"])
+    def test_gen_zero_count(self, tmp_path, capsys, kind, count):
+        out = tmp_path / "inst.json"
+        assert run_cli("gen", "--kind", kind, count, "0", "--out", str(out)) == 1
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()

@@ -60,12 +60,6 @@ class TestSolveFeasibility:
         x = solve_feasibility(lp)
         assert x[0] + x[1] >= 2.0 - 1e-9
 
-    def test_lp_format_dump(self):
-        lp, _ = build_lpc(one_request(point_mass(1), 2), 2.0)
-        text = lp.to_lp_format()
-        assert "req_0" in text and "trunc_0" in text and "exc" in text
-        assert text.startswith("Minimize")
-
 
 class TestLPC:
     def test_single_request_feasible_boundary(self):
@@ -95,7 +89,7 @@ class TestLPC:
 
     def test_weights_sum_to_one(self):
         for inst in tiny_suite("config", 10, seed=601):
-            tau = min_feasible_tau(inst)
+            tau, _ = min_feasible_tau(inst)
             if tau == 0:
                 continue
             sol = solve_lpc(inst, tau)
@@ -180,7 +174,7 @@ class TestLPCRows:
 class TestMinFeasibleTau:
     def test_single_request_boundary(self):
         law = DiscreteDistribution([(1, Fraction(1, 2)), (2, Fraction(1, 2))])
-        tau = min_feasible_tau(one_request(law, 1.5))
+        tau, _ = min_feasible_tau(one_request(law, 1.5))
         assert tau == pytest.approx(1.5, rel=1e-3)
 
     def test_deterministic_closed_form(self):
@@ -189,11 +183,11 @@ class TestMinFeasibleTau:
         d1 = Configuration([1, 0], point_mass(2))
         d2 = Configuration([1, 0], point_mass(1))
         inst = ConfigInstance(2, [Request(0, [d1]), Request(1, [d2])])
-        assert min_feasible_tau(inst) == pytest.approx(3.0, rel=1e-3)
+        assert min_feasible_tau(inst)[0] == pytest.approx(3.0, rel=1e-3)
 
     def test_degenerate_bracket(self):
         inst = one_request(point_mass(1), 1)
-        assert min_feasible_tau(inst, lo=2.0, hi=2.0) == 2.0
+        assert min_feasible_tau(inst, lo=2.0, hi=2.0)[0] == 2.0
 
     def test_infeasible_hi_raises(self):
         inst = one_request(point_mass(10), 10)
@@ -202,7 +196,7 @@ class TestMinFeasibleTau:
 
     def test_monotone_feasibility(self):
         for inst in tiny_suite("config", 8, seed=602):
-            tau = min_feasible_tau(inst)
+            tau, _ = min_feasible_tau(inst)
             if tau == 0:
                 continue
             assert not isinstance(solve_lpc(inst, tau * 2), Infeasible)
