@@ -419,7 +419,7 @@ def main(argv=None):
     except (
         ValidationError,
         ParseError,
-        FileNotFoundError,
+        OSError,
         NoFeasibleTau,
         NumericalFailure,
         IncompletePolicy,

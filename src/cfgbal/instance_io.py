@@ -136,10 +136,11 @@ def instance_from_dict(doc):
                 requests.append(Request(_field(rd, "id", int), configs))
             return ConfigInstance(_field(doc, "m", int), requests)
         if kind == "unrelated":
-            jobs = [
-                [_decode_law(law, f"jobs[{j}][{i}]") for i, law in enumerate(row)]
-                for j, row in enumerate(_field(doc, "jobs", list))
-            ]
+            jobs = []
+            for j, row in enumerate(_field(doc, "jobs", list)):
+                if not isinstance(row, list):
+                    raise ParseError(f"jobs[{j}]: expected a list of per-machine laws")
+                jobs.append([_decode_law(law, f"jobs[{j}][{i}]") for i, law in enumerate(row)])
             return UnrelatedInstance(_field(doc, "m", int), jobs)
         if kind == "related":
             speeds = [_decode_num(s, "speeds") for s in _field(doc, "speeds", list)]
@@ -172,10 +173,12 @@ def instance_from_dict(doc):
 
 
 def _field(doc, name, typ):
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected an object with field {name!r}, got {type(doc).__name__}")
     if name not in doc:
         raise ParseError(f"missing field {name!r}")
     value = doc[name]
-    if not isinstance(value, typ):
+    if not isinstance(value, typ) or isinstance(value, bool):
         raise ParseError(f"field {name!r}: expected {typ.__name__}")
     return value
 
@@ -184,7 +187,7 @@ def _int_at(seq, idx, where):
     if not isinstance(seq, list) or len(seq) <= idx:
         raise ParseError(f"{where}: expected a list with >= {idx + 1} entries")
     v = seq[idx]
-    if not isinstance(v, int):
+    if not isinstance(v, int) or isinstance(v, bool):
         raise ParseError(f"{where}[{idx}]: expected an integer")
     return v
 

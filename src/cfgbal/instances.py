@@ -151,6 +151,8 @@ class ConfigInstance:
                 raise ValidationError(
                     f"request {r.id}: multiplier length != resource count {self.m}"
                 )
+        if len({r.id for r in reqs}) != len(reqs):
+            raise ValidationError("request ids are not unique")
         self.requests = reqs
 
     @property
@@ -333,6 +335,17 @@ class SmoothedGroups:
 
     def __iter__(self):
         return iter(self.groups)
+
+    def renumbered(self):
+        """These groups with each machine id replaced by its position in the
+        surviving instance of smooth_machines, which lists the kept machines
+        in ascending original id."""
+        kept = sorted(i for _, _, ids in self.groups for i in ids)
+        position = {i: k for k, i in enumerate(kept)}
+        return SmoothedGroups(
+            (speed, count, tuple(sorted(position[i] for i in ids)))
+            for speed, count, ids in self.groups
+        )
 
     def __repr__(self):
         body = ", ".join(f"{s}:x{c}" for s, c, _ in self.groups)

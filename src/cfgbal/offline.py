@@ -192,12 +192,7 @@ def offline_related(r, rng, eps=1e-3):
     report = offline_config_balancing(reduced, rng, eps=eps)
     if report.lp_status != "feasible":
         return None, report
-    # the surviving instance lists machines in ascending original id order
-    original_ids = sorted(i for _, _, ids in smoothed for i in ids)
-    machine_index = {i: pos for pos, i in enumerate(original_ids)}
-    group_machines = [
-        sorted(machine_index[i] for i in ids) for _, _, ids in smoothed.groups
-    ]
+    group_machines = [ids for _, _, ids in smoothed.renumbered()]
     group_of_machine = {}
     for g, ids in enumerate(group_machines):
         for i in ids:

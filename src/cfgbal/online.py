@@ -43,15 +43,19 @@ class PotentialState:
         ell = math.log(2 * m + 2) / math.log(1.5)
         return cls([0.0] * (m + 1), tau, ell)
 
-    @property
-    def m(self):
-        return len(self.loads) - 1
-
     def phi(self):
         return potential(self.loads, self.tau)
 
-    def copy(self):
-        return PotentialState(self.loads, self.tau, self.ell)
+    def admit(self, increments):
+        """The state after adding each (index, x) of increments, or None
+        (Fail) when some entry would exceed ell * tau."""
+        loads = list(self.loads)
+        cap = self.ell * self.tau
+        for i, x in increments:
+            loads[i] += x
+            if loads[i] > cap:
+                return None
+        return PotentialState(loads, self.tau, self.ell)
 
 
 def delta_phi(loads, tau, proxy):
@@ -76,13 +80,9 @@ def argmin_step(state, proxies):
         if best is None or d < best[1]:
             best = (idx, d)
     idx, d = best
-    proxy = proxies[idx]
-    cap = state.ell * state.tau
-    for L, x in zip(state.loads, proxy):
-        if L + x > cap:
-            return None
-    new = state.copy()
-    new.loads = [L + x for L, x in zip(new.loads, proxy)]
+    new = state.admit(enumerate(proxies[idx]))
+    if new is None:
+        return None
     return idx, d, new
 
 
@@ -112,16 +112,6 @@ class TraceRecord:
         self.proxy = proxy
         self.dphi = dphi
 
-    def as_dict(self):
-        return {
-            "request": self.request,
-            "phase": self.phase,
-            "lambda": self.lam,
-            "choice": self.choice,
-            "proxy": list(self.proxy),
-            "dphi": self.dphi,
-        }
-
 
 class OnlineRun:
     __slots__ = ("records", "state", "final_lambda", "phases")
@@ -141,15 +131,17 @@ def guess_and_double(stream, inner, lam0=None):
     double lambda, reset the load vector (committed choices stand) and
     re-offer the failing request. The initial guess is the cheapest expected
     cost any policy could pay for the first request; a zero guess is bumped
-    to the first positive cost in the stream (a Fail at lambda = 0 would
-    otherwise never escape the doubling)."""
+    to the first positive cost in the stream, else 1.0 (a Fail at
+    lambda = 0 would otherwise never escape the doubling). The inner
+    algorithm provides m, min_expected_cost, request_id and step."""
     stream = list(stream)
     if not stream:
         raise ValidationError("empty request stream")
     lam = float(lam0) if lam0 is not None else inner.min_expected_cost(stream[0])
     if lam <= 0:
-        lam = inner.first_positive_cost(stream)
-    state = inner.fresh_state(lam)
+        costs = (inner.min_expected_cost(request) for request in stream)
+        lam = next((v for v in costs if v > 0), 1.0)
+    state = PotentialState.fresh(inner.m, lam)
     records = []
     phase = 0
     idx = 0
@@ -159,7 +151,7 @@ def guess_and_double(stream, inner, lam0=None):
         if step is None:
             lam = 2.0 * lam
             phase += 1
-            state = inner.fresh_state(lam)
+            state = PotentialState.fresh(inner.m, lam)
             continue
         choice, proxy, dphi, state = step
         records.append(
@@ -176,18 +168,8 @@ class ConfigBalancer:
     def __init__(self, m):
         self.m = m
 
-    def fresh_state(self, lam):
-        return PotentialState.fresh(self.m, lam)
-
     def min_expected_cost(self, request):
         return min(float(c.expected_max()) for c in request.configs)
-
-    def first_positive_cost(self, stream):
-        for request in stream:
-            v = self.min_expected_cost(request)
-            if v > 0:
-                return v
-        return 1.0
 
     def request_id(self, request, idx):
         return request.id
@@ -230,7 +212,7 @@ def online_related_step(groups, state, law, machine_loads, proxies=None):
     """Pick a group through the potential and then the least-loaded machine
     of that group (by realized truncated load, lowest id on ties).
 
-    machine_loads maps original machine id -> current realized truncated
+    machine_loads maps a machine id of groups -> current realized truncated
     load; proxies, when given, are related_group_proxies(groups, law,
     state.tau). Returns (machine id, group index, dphi, new state) or None
     on Fail.
@@ -258,41 +240,17 @@ class RelatedBalancer:
     at, and a step at a new threshold rebuilds them from the history."""
 
     def __init__(self, related, realize):
-        from .instances import SmoothedGroups
-
-        self.groups, self.smoothed = smooth_machines(related)
-        # re-key group machine ids into the smoothed instance's index space
-        original_ids = sorted(i for _, _, ids in self.groups for i in ids)
-        machine_index = {i: pos for pos, i in enumerate(original_ids)}
-        self.exec_groups = SmoothedGroups(
-            [
-                (s, c, tuple(sorted(machine_index[i] for i in ids)))
-                for s, c, ids in self.groups
-            ]
-        )
+        self.groups = smooth_machines(related)[0].renumbered()
+        self.m = len(self.groups)
         self.realize = realize
         self.history = []  # (machine id, realized scaled size)
         self.loads_tau = None
         self.loads = {}  # machine id -> truncated load at loads_tau
-        self.speed_of = {}
-        for speed, _, ids in self.exec_groups:
-            for i in ids:
-                self.speed_of[i] = float(speed)
-        self.assignments = []
-
-    def fresh_state(self, lam):
-        return PotentialState.fresh(len(self.groups), lam)
+        self.speed_of = {i: float(speed) for speed, _, ids in self.groups for i in ids}
 
     def min_expected_cost(self, job):
         fastest = max(float(s) for s, _, _ in self.groups)
         return float(job.mean()) / fastest
-
-    def first_positive_cost(self, stream):
-        for job in stream:
-            v = self.min_expected_cost(job)
-            if v > 0:
-                return v
-        return 1.0
 
     def request_id(self, job, idx):
         return idx
@@ -311,19 +269,18 @@ class RelatedBalancer:
         if tau != self.loads_tau:
             self.loads_tau = tau
             self.loads = self.truncated_loads(tau)
-        proxies = related_group_proxies(self.exec_groups, job, tau)
-        result = online_related_step(self.exec_groups, state, job, self.loads, proxies)
+        proxies = related_group_proxies(self.groups, job, tau)
+        result = online_related_step(self.groups, state, job, self.loads, proxies)
         if result is None:
             return None
         machine, group_idx, dphi, new_state = result
-        job_index = len(self.assignments)
+        job_index = len(self.history)
         value = float(self.realize(job_index, job))
         scaled = value / self.speed_of[machine]
         self.history.append((machine, scaled))
         if scaled < tau:
             # same per-machine order of additions as a rescan
             self.loads[machine] = self.loads.get(machine, 0.0) + scaled
-        self.assignments.append((job_index, machine, value))
         return machine, proxies[group_idx], dphi, new_state
 
 
@@ -366,17 +323,9 @@ def online_route_step(r, state, j):
     if best is None:
         return None
     path, dphi = best
-    exc = view.exceptional(path)
-    cap = state.ell * state.tau
-    if state.loads[0] + exc > cap:
+    new = state.admit([(0, view.exceptional(path))] + [(e + 1, trunc[e]) for e in path])
+    if new is None:
         return None
-    for e in path:
-        if state.loads[e + 1] + trunc[e] > cap:
-            return None
-    new = state.copy()
-    new.loads[0] += exc
-    for e in path:
-        new.loads[e + 1] += trunc[e]
     return path, dphi, new
 
 
@@ -385,20 +334,10 @@ class RouteBalancer:
 
     def __init__(self, r):
         self.r = r
-        self.counter = 0
-
-    def fresh_state(self, lam):
-        return PotentialState.fresh(self.r.m, lam)
+        self.m = r.m
 
     def min_expected_cost(self, j):
         return self.r.min_expected_cost(j)
-
-    def first_positive_cost(self, stream):
-        for j in stream:
-            v = self.min_expected_cost(j)
-            if v > 0:
-                return v
-        return 1.0
 
     def request_id(self, j, idx):
         return j

@@ -173,29 +173,28 @@ def optimal_adaptive(inst, max_states=2_000_000):
     return oracle.value(), oracle
 
 
-def evaluate_policy(inst, policy, tau):
-    """Exact expectation of (makespan, total exceptional load at tau) for a
-    decision function policy(remaining ids, loads) -> (request, config)."""
-    check_tau(tau)
-    inst = to_config_instance(inst)
-    tau = Fraction(tau)
-    table = outcome_table(inst)
+def _policy_value(table, loads, tau, decide, after=None, state=None):
+    """Exact PolicyValue at tau of a state policy serving every request of
+    an outcome table from loads: decide(remaining ids, loads, state) ->
+    (request, config, state) and after(state, request, config, k) -> state,
+    the protocol cfgbal.simulate.Trials.walk runs (state stays None without
+    after). A None decision or a KeyError is an IncompletePolicy."""
     memo = {}
 
-    def walk(remaining, loads):
+    def walk(remaining, loads, state):
         if not remaining:
             return (max(loads) if loads else Fraction(0)), Fraction(0)
-        key = (remaining, loads)
+        key = (remaining, loads, state)
         cached = memo.get(key)
         if cached is not None:
             return cached
         try:
-            decision = policy(remaining, loads)
+            decision = decide(remaining, loads, state)
         except KeyError:
             decision = None
         if decision is None:
             raise IncompletePolicy(f"no decision at remaining={sorted(remaining)}")
-        j, c = decision
+        j, c, state = decision
         if j not in remaining:
             raise IncompletePolicy(f"policy chose request {j} not in remaining set")
         if c not in range(len(table[j])):
@@ -203,17 +202,31 @@ def evaluate_policy(inst, policy, tau):
         mk = Fraction(0)
         exc = Fraction(0)
         rest = remaining - {j}
-        for _, p, peak, increments in table[j][c][2]:
+        for k, (_, p, peak, increments) in enumerate(table[j][c][2]):
             step_exc = peak if peak >= tau else Fraction(0)
-            sub_mk, sub_exc = walk(rest, add_load(loads, increments))
+            sub_state = after(state, j, c, k) if after else None
+            sub_mk, sub_exc = walk(rest, add_load(loads, increments), sub_state)
             mk += p * sub_mk
             exc += p * (step_exc + sub_exc)
         memo[key] = (mk, exc)
         return memo[key]
 
-    zero = tuple(Fraction(0) for _ in range(inst.m))
-    mk, exc = walk(frozenset(table), zero)
+    mk, exc = walk(frozenset(table), loads, state)
     return PolicyValue(mk, exc)
+
+
+def evaluate_policy(inst, policy, tau):
+    """Exact expectation of (makespan, total exceptional load at tau) for a
+    decision function policy(remaining ids, loads) -> (request, config)."""
+    check_tau(tau)
+    inst = to_config_instance(inst)
+
+    def decide(remaining, loads, _):
+        decision = policy(remaining, loads)
+        return None if decision is None else (*decision, None)
+
+    zero = tuple(Fraction(0) for _ in range(inst.m))
+    return _policy_value(outcome_table(inst), zero, Fraction(tau), decide)
 
 
 def non_adaptive_policy(assignment):
@@ -244,29 +257,23 @@ class RestartPolicy:
         self.tau = Fraction(tau)
         self.committed_configs = set()
 
-    def _opt_commit(self, remaining, opt_loads):
-        """OPT's (request, config) at (remaining, opt_loads), or None when
-        that configuration has E[max] > tau and the policy restarts OPT on
-        the same set with fresh loads instead."""
-        j, c = self.oracle.choice(remaining, opt_loads)
-        if self.oracle.table[j][c][0] <= self.tau:
-            return j, c
-        if opt_loads == self.oracle.zero_loads:
-            raise ValidationError(
-                f"tau {self.tau} is below E[max] of OPT's first decision; "
-                "the restart policy needs tau >= 2 E[OPT]"
-            )
-        return None
-
     def decide(self, remaining, loads, opt_loads):
-        """(request, config, OPT's loads) committed next from a state; the
-        true loads are not consulted. The state policy form that
-        cfgbal.simulate.Trials.walk runs."""
-        choice = self._opt_commit(remaining, opt_loads)
-        if choice is None:
+        """(request, config, OPT's loads) committed next from a state, with
+        OPT restarted on fresh loads instead of committing E[max] > tau; the
+        true loads are not consulted. The state policy form that value()
+        and cfgbal.simulate.Trials.walk run; each choice is recorded in
+        committed_configs."""
+        j, c = self.oracle.choice(remaining, opt_loads)
+        while self.oracle.table[j][c][0] > self.tau:
+            if opt_loads == self.oracle.zero_loads:
+                raise ValidationError(
+                    f"tau {self.tau} is below E[max] of OPT's first decision; "
+                    "the restart policy needs tau >= 2 E[OPT]"
+                )
             opt_loads = self.oracle.zero_loads
-            choice = self._opt_commit(remaining, opt_loads)
-        return (*choice, opt_loads)
+            j, c = self.oracle.choice(remaining, opt_loads)
+        self.committed_configs.add((j, c))
+        return j, c, opt_loads
 
     def after(self, opt_loads, j, c, k):
         """OPT's loads once (j, c) realizes its k-th support point: fresh
@@ -278,39 +285,8 @@ class RestartPolicy:
 
     def value(self):
         """Exact (expected makespan, expected total exceptional load)."""
-        table = self.oracle.table
-        tau = self.tau
-        memo = {}
-
-        def walk(remaining, opt_loads, true_loads):
-            if not remaining:
-                return (max(true_loads) if true_loads else Fraction(0)), Fraction(0)
-            key = (remaining, opt_loads, true_loads)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            choice = self._opt_commit(remaining, opt_loads)
-            if choice is None:
-                result = walk(remaining, self.oracle.zero_loads, true_loads)
-                memo[key] = result
-                return result
-            j, c = choice
-            self.committed_configs.add((j, c))
-            rest = remaining - {j}
-            mk = Fraction(0)
-            exc = Fraction(0)
-            for k, (_, p, peak, increments) in enumerate(table[j][c][2]):
-                step_exc = peak if peak >= tau else Fraction(0)
-                new_opt = self.after(opt_loads, j, c, k)
-                sub_mk, sub_exc = walk(rest, new_opt, add_load(true_loads, increments))
-                mk += p * sub_mk
-                exc += p * (step_exc + sub_exc)
-            memo[key] = (mk, exc)
-            return memo[key]
-
         zero = self.oracle.zero_loads
-        mk, exc = walk(self.oracle.all_ids, zero, zero)
-        return PolicyValue(mk, exc)
+        return _policy_value(self.oracle.table, zero, self.tau, self.decide, self.after, zero)
 
     def simulate(self, sim):
         """Run in every trial of a cfgbal.simulate.Trials at once: one walk

@@ -84,6 +84,20 @@ def _require(option, count, what, owner):
         raise ValidationError(f"policy chose {what} {option!r}; {owner} has {count}")
 
 
+def _require_path(inst, choice, source, sink, j):
+    """A routing choice must list the edge ids of a simple source-sink path."""
+    if isinstance(choice, (list, tuple)):
+        for e in choice:
+            _require(e, inst.m, "edge", "the instance")
+        visited = [source] + [inst.edges[e][1] for e in choice]
+        tails = [inst.edges[e][0] for e in choice]
+        if tails == visited[:-1] and visited[-1] == sink and len(set(visited)) == len(visited):
+            return
+    raise ValidationError(
+        f"policy chose {choice!r} for request {j}; expected the edge ids of a simple path {source} -> {sink}"
+    )
+
+
 class Trials:
     """One simulation: its realizations, keyed by request id, and the
     per-trial loads and exceptional totals of what has been committed.
@@ -106,12 +120,10 @@ class Trials:
         else:
             raise TypeError(f"cannot simulate on {type(inst).__name__}")
         self.position = {j: k for k, j in enumerate(self.ids)}
-        if len(self.position) != len(self.ids):
-            raise ValidationError("request ids are not unique")
         self.inst = inst
         self.trials = trials
         self.seed = seed
-        self.tau = None if tau is None else float(tau)
+        self.tau = None if tau is None else float(check_tau(tau))
         self.uniforms = uniform_table(seed, self.ids, trials)
         self.loads = np.zeros((trials, inst.m))
         self.exc = np.zeros(trials)
@@ -140,10 +152,10 @@ class Trials:
             resources = [i for i, a in enumerate(mult) if a]
             return _effect(config.law, resources, [mult[i] for i in resources])
         if isinstance(inst, RoutingInstance):
-            for e in choice:
-                _require(e, inst.m, "edge", f"request {j}")
-            edges = sorted(set(choice))
-            return _effect(inst.requests[k][2], edges, [1.0 / float(inst.edges[e][2]) for e in edges])
+            source, sink, law = inst.requests[k]
+            _require_path(inst, choice, source, sink, j)
+            edges = sorted(choice)
+            return _effect(law, edges, [1.0 / float(inst.edges[e][2]) for e in edges])
         _require(choice, inst.m, "machine", f"request {j}")
         if isinstance(inst, UnrelatedInstance):
             return _effect(inst.jobs[k][choice], [choice], [1.0])
@@ -299,8 +311,6 @@ def simulate_adaptive_config(inst, policy_fn, trials, seed, tau=None):
     instance, where the realized scalar depends on the chosen
     configuration. policy_fn(remaining ids, loads) -> (request, config);
     the policy observes float loads."""
-    if tau is not None:
-        check_tau(tau)
     sim = Trials(inst, trials, seed, tau)
     sim.walk(lambda remaining, loads, _: (*policy_fn(remaining, loads), None))
     return sim.report()

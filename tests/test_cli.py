@@ -351,3 +351,106 @@ class TestInputErrors:
         assert run_cli("gen", "--kind", kind, count, "0", "--out", str(out)) == 1
         assert_one_error_line(capsys.readouterr().err)
         assert not out.exists()
+
+
+ONE_CONFIG = '{"multipliers": [1], "law": [[1, 1]]}'
+
+
+class TestMalformedInput:
+    """Shape errors in instance and policy files, unreadable paths and a
+    non-positive simulation threshold exit 1 with one error line."""
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"kind": "config", "m": 1, "requests": [5]}', "'configs'"),
+            ('{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [7]}]}', "'multipliers'"),
+            ('{"kind": "config", "m": 1, "requests": [{"id": true, "configs": [%s]}]}' % ONE_CONFIG, "'id'"),
+            ('{"kind": "config", "m": true, "requests": [{"id": 0, "configs": [%s]}]}' % ONE_CONFIG, "'m'"),
+            ('{"kind": "unrelated", "m": 1, "jobs": [5]}', "jobs[0]"),
+            ('{"kind": "routing", "vertices": 2, "edges": [[0, true, 1]], "requests": [[0, 1, [[1, 1]]]]}',
+             "edges[0][1]"),
+        ],
+        ids=["request-not-object", "config-not-object", "bool-id", "bool-m", "unrelated-row", "bool-edge-end"],
+    )
+    def test_instance_shape(self, tmp_path, capsys, text, field):
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        assert run_cli("oracle", "--in", str(src), "--what", "opt") == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert field in err
+
+    @pytest.mark.parametrize("argv", [("oracle", "--what", "opt"), ("online", "--algo", "config")], ids=["oracle", "online"])
+    def test_duplicate_request_ids(self, tmp_path, capsys, argv):
+        src = tmp_path / "twice.json"
+        law = '{"multipliers": [1], "law": [[%d, 1]]}'
+        src.write_text(
+            '{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [%s]}, {"id": 0, "configs": [%s]}]}'
+            % (law % 1, law % 2)
+        )
+        assert run_cli(*argv, "--in", str(src)) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert "not unique" in captured.err
+        assert captured.out == ""
+
+    @pytest.fixture
+    def gap(self, tmp_path):
+        src = tmp_path / "gap.json"
+        run_cli("gen", "--kind", "gap", "--m", "2", "--tau", "2", "--out", str(src))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"choices": {"0": 0, "1": 0}}))
+        return str(src), str(policy)
+
+    @pytest.mark.parametrize("where", ["in", "policy", "report"])
+    def test_directory_paths(self, gap, tmp_path, capsys, where):
+        src, policy = gap
+        argv = {
+            "in": ("offline", "--in", str(tmp_path), "--algo", "config"),
+            "policy": ("simulate", "--in", src, "--policy-file", str(tmp_path), "--trials", "5"),
+            "report": ("offline", "--in", src, "--algo", "config", "--report", str(tmp_path)),
+        }[where]
+        assert run_cli(*argv) == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_simulate_zero_tau(self, gap, capsys):
+        src, policy = gap
+        assert run_cli("simulate", "--in", src, "--policy-file", policy, "--trials", "5", "--tau", "0") == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert captured.out == ""
+
+    @pytest.fixture
+    def grid(self, tmp_path):
+        # a 2x2 grid: vertices 0 1 / 2 3, both directions, request 0 -> 3
+        edges = [(0, 1, 1), (1, 0, 1), (0, 2, 1), (2, 0, 1), (1, 3, 1), (3, 1, 1), (2, 3, 1), (3, 2, 1)]
+        src = tmp_path / "grid.json"
+        write_instance(RoutingInstance(4, edges, [(0, 3, point_mass(1))]), src)
+        return str(src)
+
+    @pytest.mark.parametrize(
+        "choice, ok",
+        [
+            ([0, 4], True),
+            ([2, 6], True),
+            (0, False),
+            ([0], False),
+            ([4, 0], False),
+            ([], False),
+            ([0, 1, 0, 4], False),
+            ([0, 9], False),
+        ],
+        ids=["path-a", "path-b", "not-a-list", "stops-short", "wrong-order", "empty", "revisits", "unknown-edge"],
+    )
+    def test_simulate_routing_choice(self, grid, tmp_path, capsys, choice, ok):
+        policy = tmp_path / "route.json"
+        policy.write_text(json.dumps({"choices": {"0": choice}}))
+        code = run_cli("simulate", "--in", grid, "--policy-file", str(policy), "--trials", "5")
+        captured = capsys.readouterr()
+        if ok:
+            assert code == 0 and captured.err == ""
+        else:
+            assert code == 1
+            assert_one_error_line(captured.err)
+            assert captured.out == ""

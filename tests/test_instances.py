@@ -178,6 +178,26 @@ class TestSmoothing:
             assert max(surv.speeds) == max(sp)
             assert len(sm.groups[-1][2]) == counts[-1]
 
+    def test_renumbered_ids_index_the_surviving_instance(self):
+        rng = tiny_rng(2025)
+        for k in range(200):
+            m = int(rng.integers(1, 17))
+            if k % 2:
+                speeds = [Fraction(int(rng.integers(1, 64)), int(rng.integers(1, 64))) for _ in range(m)]
+            else:
+                speeds = [round(float(rng.uniform(0.05, 1.0)), 3) for _ in range(m)]
+            sm, surv = smooth_machines(RelatedInstance(speeds, [point_mass(1)]))
+            # reference re-keying: rank of each kept id among all kept ids
+            original_ids = sorted(i for _, _, ids in sm for i in ids)
+            machine_index = {i: pos for pos, i in enumerate(original_ids)}
+            want = [(s, c, tuple(sorted(machine_index[i] for i in ids))) for s, c, ids in sm]
+            got = sm.renumbered()
+            assert list(got) == want
+            positions = sorted(i for _, _, ids in got for i in ids)
+            assert positions == list(range(surv.m))
+            for speed, _, ids in got:
+                assert all(surv.speeds[i] == speed for i in ids)
+
     def test_groups_validation(self):
         with pytest.raises(ValidationError):
             SmoothedGroups([(1, 1, (0,)), (2, 1, (1,))])  # 1 < 1.5*1

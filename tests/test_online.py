@@ -109,6 +109,14 @@ class TestOnlineStep:
         scaled = [tuple(3 * x for x in p) for p in proxies]
         assert argmin_step(st1, proxies)[0] == argmin_step(st2, scaled)[0]
 
+    def test_commit_exactly_at_cap_is_admitted(self):
+        st = PotentialState.fresh(1, 1.0)
+        cap = st.ell * st.tau
+        result = argmin_step(st, [(0.0, cap)])
+        assert result is not None and result[2].loads == [0.0, cap]
+        assert argmin_step(st, [(0.0, math.nextafter(cap, math.inf))]) is None
+        assert argmin_step(st, [(math.nextafter(cap, math.inf), 0.0)]) is None
+
     def test_boundary_proxy_is_exceptional(self):
         # s=1, tau=2, law {(2,1)}: proxy x0 = 2, truncated part 0
         cfg = Configuration([1], point_mass(2))
@@ -153,6 +161,13 @@ class TestGuessAndDouble:
         phases = [rec.phase for rec in run.records]
         assert phases == sorted(phases)
         assert len(run.records) == 9  # every request committed exactly once
+
+    def test_all_zero_stream_falls_back_to_one(self):
+        zeros = [Request(j, [Configuration([1], point_mass(0))]) for j in range(3)]
+        run = guess_and_double(zeros, ConfigBalancer(1))
+        assert run.final_lambda == 1.0 and run.phases == 1
+        assert [rec.lam for rec in run.records] == [1.0, 1.0, 1.0]
+        assert run.state.tau == 2.0
 
     def test_replay_deterministic(self):
         for inst in tiny_suite("config", 5, seed=703):
@@ -280,6 +295,18 @@ class TestOnlineRouting:
                 path, dphi, st = res
                 assert path == expect_path, (seed, j)
                 assert dphi == pytest.approx(expect_val, abs=1e-12)
+
+    def test_commit_exactly_at_cap_is_admitted(self):
+        # one unit edge; point mass 1 is truncated (1 < tau = 2) and adds 1.0
+        r = RoutingInstance(2, [(0, 1, 1)], [(0, 1, point_mass(1))])
+        st = PotentialState.fresh(1, 1.0)
+        cap = st.ell * st.tau
+        assert (cap - 1.0) + 1.0 == cap
+        st.loads = [0.0, cap - 1.0]
+        path, _, new = online_route_step(r, st, 0)
+        assert path == (0,) and new.loads == [0.0, cap]
+        st.loads = [0.0, math.nextafter(cap - 1.0, math.inf)]
+        assert online_route_step(r, st, 0) is None
 
     def test_fail_on_disconnect(self):
         st = PotentialState.fresh(3, 0.25)  # tau = 0.5 disconnects

@@ -17,6 +17,7 @@ from cfgbal.oracle import (
     AdaptiveOracle,
     IncompletePolicy,
     PolicyValue,
+    RestartPolicy,
     StateSpaceExceeded,
     always_fast,
     clairvoyance_adversary,
@@ -25,6 +26,7 @@ from cfgbal.oracle import (
     optimal_adaptive,
     restart_policy,
 )
+from cfgbal.simulate import simulate_policy
 
 from conftest import (
     brute_force_config_opt,
@@ -196,6 +198,17 @@ class TestRestartPolicy:
             for j, c in policy.committed_configs:
                 cfg = policy.inst.requests[j].configs[c]
                 assert cfg.expected_max() <= tau
+
+    def test_simulation_reaches_only_states_of_the_exact_tree(self):
+        for inst in tiny_suite("config", 40, seed=405):
+            opt, _ = optimal_adaptive(inst)
+            if opt == 0:
+                continue
+            policy = RestartPolicy(inst, 2 * opt)
+            policy.value()
+            committed = set(policy.committed_configs)
+            simulate_policy(policy.inst, policy, 200, 0)
+            assert policy.committed_configs == committed
 
     def test_run_trace_replay(self):
         inst = gen_adaptivity_gap_instance(4, 2)

@@ -162,8 +162,8 @@ class TestRequestIds:
         inst = ConfigInstance(1, [Request(7, [Configuration([1], point_mass(1))])])
         with pytest.raises(ValidationError, match="request 0"):
             simulate_policy(inst, NonAdaptiveAssignment({0: 0}), 10, 0)
-        twice = ConfigInstance(1, list(inst.requests) * 2)
         with pytest.raises(ValidationError, match="not unique"):
+            twice = ConfigInstance(1, list(inst.requests) * 2)
             simulate_policy(twice, NonAdaptiveAssignment({7: 0}), 10, 0)
 
     def test_streams_follow_ids(self):
