@@ -299,7 +299,11 @@ def cmd_lp_check(args):
 
 
 def cmd_expmax(args):
-    spec, weights = expmax_regime(args.regime, args.m, args.tau)
+    tau = parse_tau(args.tau)
+    if tau <= 0:
+        raise ValidationError(f"invalid --tau {args.tau!r}: must be positive")
+    tau = float(tau)
+    spec, weights = expmax_regime(args.regime, args.m, tau)
     est, err = estimate_expected_max(spec, args.trials, args.seed, weights=weights)
     write_report(
         report_lines(
@@ -307,7 +311,7 @@ def cmd_expmax(args):
             [
                 ("regime", args.regime),
                 ("m", args.m),
-                ("tau", args.tau),
+                ("tau", tau),
                 ("trials", args.trials),
                 ("seed", args.seed),
                 ("estimate", est),
@@ -380,7 +384,7 @@ def build_parser():
 
     p = sub.add_parser("expmax", help="expected-maximum estimation")
     p.add_argument("--m", type=int, default=64)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", default="1")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--regime", required=True, choices=["sqrtlog", "logm", "geo"])

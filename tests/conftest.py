@@ -255,6 +255,158 @@ def brute_force_config_policy(inst, decide, tau, restart=False):
 
 
 # ---------------------------------------------------------------------------
+# Fraction reference walkers: the exact oracle walkers of cfgbal.oracle as
+# they ran on Fraction loads and values, kept as the reference the integer
+# walkers must match exactly
+
+
+def reference_outcome_table(inst):
+    """{request id: one (expected_max, a_max, outcomes) per configuration}
+    of an exact configuration instance; outcomes holds one (v, p, a_max * v,
+    increments) per support point, increments listing (i, a_i * v) for
+    every a_i != 0, all Fractions."""
+    table = {}
+    for r in inst.requests:
+        rows = []
+        for config in r.configs:
+            a_max = config.max_multiplier
+            nonzero = [(i, a) for i, a in enumerate(config.multipliers) if a != 0]
+            outcomes = tuple(
+                (v, p, a_max * v, tuple((i, a * v) for i, a in nonzero)) for v, p in config.law.support
+            )
+            rows.append((config.expected_max(), a_max, outcomes))
+        table[r.id] = tuple(rows)
+    return table
+
+
+def reference_add_load(loads, increments):
+    new = list(loads)
+    for i, x in increments:
+        new[i] = new[i] + x
+    return tuple(new)
+
+
+class ReferenceOracle:
+    """AdaptiveOracle in Fractions: memoized value iteration over
+    (remaining ids, Fraction loads), ties to the lowest (request, config)."""
+
+    def __init__(self, inst, max_states=2_000_000):
+        from cfgbal.oracle import StateSpaceExceeded, to_config_instance
+
+        self.exceeded = StateSpaceExceeded
+        self.inst = to_config_instance(inst)
+        self.max_states = max_states
+        self.table = reference_outcome_table(self.inst)
+        self._value = {}
+        self._choice = {}
+        self.zero_loads = tuple(Fraction(0) for _ in range(self.inst.m))
+        self.all_ids = frozenset(r.id for r in self.inst.requests)
+
+    def value(self, remaining=None, loads=None):
+        remaining = self.all_ids if remaining is None else remaining
+        loads = self.zero_loads if loads is None else loads
+        key = (remaining, loads)
+        cached = self._value.get(key)
+        if cached is not None:
+            return cached
+        best = best_choice = None
+        if not remaining:
+            best = max(loads) if loads else Fraction(0)
+        for j in sorted(remaining):
+            rest = remaining - {j}
+            for c, (_, _, outcomes) in enumerate(self.table[j]):
+                q = Fraction(0)
+                for _, p, _, increments in outcomes:
+                    q += p * self.value(rest, reference_add_load(loads, increments))
+                if best is None or q < best:
+                    best, best_choice = q, (j, c)
+        self._value[key] = best
+        self._choice[key] = best_choice
+        if len(self._value) > self.max_states:
+            raise self.exceeded(len(self._value), self.max_states)
+        return best
+
+    def choice(self, remaining, loads):
+        self.value(remaining, loads)
+        return self._choice[(remaining, loads)]
+
+    def tree_text(self):
+        lines = []
+
+        def render(remaining, loads, depth):
+            pad = "  " * depth
+            state = f"remaining={sorted(remaining)} loads=({', '.join(map(str, loads))})"
+            if not remaining:
+                lines.append(f"{pad}{{state: {state}, value: {max(loads) if loads else 0}}}")
+                return
+            j, c = self.choice(remaining, loads)
+            lines.append(f"{pad}{{state: {state}, decision: request {j} -> config {c}}}")
+            for v, _, _, increments in self.table[j][c][2]:
+                lines.append(f"{pad}  realized {v}:")
+                render(remaining - {j}, reference_add_load(loads, increments), depth + 2)
+
+        render(self.all_ids, self.zero_loads, 0)
+        return "\n".join(lines)
+
+
+def reference_policy_value(table, loads, tau, decide, after=None, state=None):
+    """(E[makespan], E[exceptional load at tau]) of a state policy
+    decide(remaining, loads, state) -> (request, config, state) on a
+    reference outcome table, walked on Fraction loads."""
+    memo = {}
+
+    def walk(remaining, loads, state):
+        if not remaining:
+            return (max(loads) if loads else Fraction(0)), Fraction(0)
+        key = (remaining, loads, state)
+        if key not in memo:
+            j, c, state = decide(remaining, loads, state)
+            mk = exc = Fraction(0)
+            for k, (_, p, peak, increments) in enumerate(table[j][c][2]):
+                sub_state = after(state, j, c, k) if after else None
+                sub_mk, sub_exc = walk(remaining - {j}, reference_add_load(loads, increments), sub_state)
+                mk += p * sub_mk
+                exc += p * ((peak if peak >= tau else Fraction(0)) + sub_exc)
+            memo[key] = (mk, exc)
+        return memo[key]
+
+    return walk(frozenset(table), loads, state)
+
+
+def reference_evaluate_policy(inst, policy, tau):
+    """evaluate_policy in Fractions, as a (makespan, exceptional) pair."""
+    from cfgbal.oracle import to_config_instance
+
+    inst = to_config_instance(inst)
+    zero = tuple(Fraction(0) for _ in range(inst.m))
+    return reference_policy_value(
+        reference_outcome_table(inst), zero, Fraction(tau), lambda r, loads, _: (*policy(r, loads), None)
+    )
+
+
+def reference_restart_value(inst, tau):
+    """RestartPolicy(inst, tau).value() in Fractions, as a (makespan,
+    exceptional) pair: OPT follows a ReferenceOracle on Fraction loads."""
+    oracle = ReferenceOracle(inst)
+    tau = Fraction(tau)
+    zero = oracle.zero_loads
+
+    def decide(remaining, loads, opt_loads):
+        j, c = oracle.choice(remaining, opt_loads)
+        while oracle.table[j][c][0] > tau:
+            assert opt_loads != zero, "restart stuck at fresh loads"
+            opt_loads = zero
+            j, c = oracle.choice(remaining, opt_loads)
+        return j, c, opt_loads
+
+    def after(opt_loads, j, c, k):
+        _, _, peak, increments = oracle.table[j][c][2][k]
+        return zero if peak >= tau else reference_add_load(opt_loads, increments)
+
+    return reference_policy_value(oracle.table, zero, tau, decide, after, zero)
+
+
+# ---------------------------------------------------------------------------
 # per-trial reference simulators: the one-trial-at-a-time loops the batched
 # simulator in cfgbal.simulate replaced, kept as the reference it must match
 # bit for bit wherever request ids equal positions
@@ -395,17 +547,16 @@ def reference_restart_run(policy, inst, realize):
     trace = []
     while remaining:
         j, c = oracle.choice(frozenset(remaining), opt_loads)
-        expected_max, a_max, _ = oracle.table[j][c]
-        if expected_max > policy.tau:
+        config = oracle.by_id[j].configs[c]
+        if config.expected_max() > policy.tau:
             if opt_loads == oracle.zero_loads:
                 raise AssertionError("stuck restart: tau too small")
             opt_loads = oracle.zero_loads
             continue
-        config = oracle.by_id[j].configs[c]
         v = Fraction(realize(j, config.law))
         trace.append((j, c, v))
         remaining.discard(j)
-        if a_max * v >= policy.tau:
+        if config.max_multiplier * v >= policy.tau:
             opt_loads = oracle.zero_loads
         else:
             opt_loads = tuple(L + a * v for L, a in zip(opt_loads, config.multipliers))

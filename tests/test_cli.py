@@ -344,6 +344,14 @@ class TestInputErrors:
         assert_one_error_line(captured.err)
         assert "nan" not in captured.out
 
+    @pytest.mark.parametrize("tau", ["0", "-1", "nan"])
+    def test_expmax_bad_tau(self, capsys, tau):
+        assert run_cli("expmax", "--regime", "sqrtlog", "--m", "4", "--trials", "10", f"--tau={tau}") == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        [line] = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert f"--tau {tau!r}" in line and captured.out == ""
+
     @pytest.mark.parametrize("count", ["--n", "--m"])
     @pytest.mark.parametrize("kind", ["config", "unrelated", "related"])
     def test_gen_zero_count(self, tmp_path, capsys, kind, count):
