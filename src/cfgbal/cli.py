@@ -23,7 +23,7 @@ from .instance_io import ParseError, read_instance, write_instance
 from .instances import (
     RelatedInstance,
     RoutingInstance,
-    as_config_instance,
+    as_float_config_instance,
     gen_adaptivity_gap_instance,
     gen_clairvoyance_adversary_instance,
     random_tiny_instance,
@@ -187,7 +187,7 @@ def cmd_offline(args):
             raise ValidationError("offline related expects a related instance")
         _, report = offline_related(inst, rng)
     else:
-        report = offline_config_balancing(as_config_instance(inst), rng)
+        report = offline_config_balancing(as_float_config_instance(inst), rng)
     pairs = [
         ("algorithm", args.algo),
         ("seed", args.seed),
@@ -228,7 +228,7 @@ def cmd_online(args):
         write_report(report_lines("online report", pairs), args.report)
         return EXIT_OK
     else:
-        run = run_online_config(as_config_instance(inst))
+        run = run_online_config(as_float_config_instance(inst))
     pairs = [
         ("algorithm", args.algo),
         ("seed", args.seed),
@@ -288,7 +288,7 @@ def cmd_lp_check(args):
         verdict = solve_lpp_column_generation(inst, tau)
         name = "LP_P"
     else:
-        verdict = solve_lpc(as_config_instance(inst), tau)
+        verdict = solve_lpc(as_float_config_instance(inst), tau)
         name = "LP_C"
     if isinstance(verdict, Infeasible):
         print(f"{name} infeasible at tau={tau}: {verdict.reason}")

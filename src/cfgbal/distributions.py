@@ -12,6 +12,7 @@ exceptional (X^T = X*1{X < tau}, X^E = X*1{X >= tau}).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 
@@ -20,6 +21,9 @@ PROB_SUM_TOL = 1e-12
 
 class ValidationError(ValueError):
     """A distribution or instance violates a structural invariant."""
+
+
+EXACT_TYPES = frozenset((int, Fraction))
 
 
 def as_exact(x):
@@ -32,7 +36,19 @@ def as_exact(x):
 def is_finite(x):
     """False for NaN and infinities. Ints and Fractions are finite without a
     float conversion, which would overflow for huge ones."""
+    if type(x) is float:  # before isinstance(x, Fraction), an ABC check
+        return math.isfinite(x)
     return isinstance(x, (int, Fraction)) or math.isfinite(x)
+
+
+def all_rational(xs):
+    """True when every x in xs is a Rational (an int or a Fraction, say),
+    with no Python call per number when xs holds only ints and Fractions,
+    or holds a float."""
+    kinds = set(map(type, xs))
+    return kinds <= EXACT_TYPES or (
+        float not in kinds and all(isinstance(x, Rational) for x in xs)
+    )
 
 
 def check_tau(tau):
@@ -58,41 +74,48 @@ class DiscreteDistribution:
     __slots__ = ("support",)
 
     def __init__(self, support):
-        pairs = sorted(((v, p) for v, p in support), key=lambda vp: float(vp[0]))
+        pairs = [(v, p) for v, p in support]
         if not pairs:
             raise ValidationError("distribution support is empty")
-        for v, p in pairs:
-            if not is_finite(v):
-                raise ValidationError(f"non-finite support value {v}")
-            if v < 0:
-                raise ValidationError(f"negative support value {v}")
-            if not (0 < p <= 1):
-                raise ValidationError(f"probability {p} outside (0, 1]")
-        for (v1, _), (v2, _) in zip(pairs, pairs[1:]):
-            if v1 == v2:
-                raise ValidationError(f"duplicate support value {v1}")
-        total = sum(p for _, p in pairs)
-        if self._all_rational(pairs):
-            if total != 1:
+        values, probs = zip(*pairs)
+        increasing = all(map(operator.lt, values, values[1:]))
+        if not increasing:
+            pairs.sort(key=lambda vp: float(vp[0]))
+            values, probs = zip(*pairs)
+            increasing = all(map(operator.lt, values, values[1:]))
+        total = sum(probs)
+        # a float among the probabilities makes their sum a float
+        rational = type(total) is not float and all_rational(values + probs)
+        # whole-list checks: 0 <= v_1 < ... < v_k < inf, every p in (0, 1]
+        # and sum(p) = 1 (exactly, which then bounds each p by 1); when one
+        # fails, the loops below name the first offender
+        if not (increasing and values[0] >= 0 and min(probs) > 0 and (
+            total == 1 if rational
+            else values[-1] < math.inf and max(probs) <= 1 and abs(total - 1.0) <= PROB_SUM_TOL
+        )):
+            for v, p in pairs:
+                if not is_finite(v):
+                    raise ValidationError(f"non-finite support value {v}")
+                if v < 0:
+                    raise ValidationError(f"negative support value {v}")
+                if not (0 < p <= 1):
+                    raise ValidationError(f"probability {p} outside (0, 1]")
+            for v1, v2 in zip(values, values[1:]):
+                if v1 == v2:
+                    raise ValidationError(f"duplicate support value {v1}")
+            if (total != 1) if rational else (abs(total - 1.0) > PROB_SUM_TOL):
                 raise ValidationError(f"probabilities sum to {total}, expected 1")
-        elif abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {total}, expected 1")
-        self.support = tuple((v, p) for v, p in pairs)
-
-    @staticmethod
-    def _all_rational(pairs):
-        return all(
-            isinstance(v, Rational) and isinstance(p, Rational) for v, p in pairs
-        )
+        self.support = tuple(pairs)
 
     @property
     def is_exact(self):
-        return self._all_rational(self.support)
+        return all_rational([x for pair in self.support for x in pair])
 
     def exact(self):
-        """This distribution with all values and probabilities as Fractions:
-        itself when they already are (it is immutable), else a copy."""
-        if all(type(v) is Fraction and type(p) is Fraction for v, p in self.support):
+        """This distribution with all values and probabilities exact (ints
+        or Fractions): itself when they already are (it is immutable), else
+        a copy in Fractions."""
+        if {type(x) for pair in self.support for x in pair} <= EXACT_TYPES:
             return self
         return DiscreteDistribution(
             [(as_exact(v), as_exact(p)) for v, p in self.support]

@@ -1,19 +1,26 @@
 """Instance files: a structured JSON text format with exact rationals.
 
 Numbers may be written three ways: integers and "p/q" strings parse to
-exact Fractions, decimals parse to floats. The writer emits Fractions as
-integers or "p/q" strings and floats as shortest-roundtrip decimals, so a
-write/read cycle reproduces the instance structurally.
+exact Fractions, decimals parse to floats; each must have a finite float
+value. The writer emits Fractions as integers or "p/q" strings and floats
+as shortest-roundtrip decimals, so a write/read cycle reproduces the
+instance, every number's type included.
+
+The reader checks the types of a whole list of numbers at once and leaves
+the range checks to the constructors; only when something fails does it
+read the numbers one by one, in document order, for the first offender.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 
-from .distributions import DiscreteDistribution, ValidationError
+from .distributions import DiscreteDistribution
 from .instances import (
     Configuration,
     ConfigInstance,
@@ -38,20 +45,48 @@ def _encode_num(x):
 
 
 def _decode_num(x, where):
-    if isinstance(x, bool):
-        raise ParseError(f"{where}: expected a number, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ParseError(f"{where}: non-finite number {x!r}")
-        return x
-    if isinstance(x, str):
+    """One JSON number by the number rules: a float must be finite; an int
+    or a "p/q" string becomes a Fraction, which must have a finite float
+    value; a bool or any other type is an error."""
+    kind = type(x)
+    if kind is float:
+        if math.isfinite(x):
+            return x
+        raise ParseError(f"{where}: non-finite number {x!r}")
+    if kind is int or kind is str:
         try:
-            return Fraction(x)
+            return _exact(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad rational {x!r}: {exc}") from None
-    raise ParseError(f"{where}: expected a number, got {type(x).__name__}")
+        except OverflowError:
+            raise ParseError(f"{where}: {x!r} has no finite float value") from None
+    if kind is bool:
+        raise ParseError(f"{where}: expected a number, got {x!r}")
+    raise ParseError(f"{where}: expected a number, got {kind.__name__}")
+
+
+@functools.lru_cache(maxsize=256)
+def _exact(x):
+    """The Fraction of an int or a "p/q" string, after a check that it has a
+    finite float value (OverflowError otherwise). Exact files repeat a few
+    numbers, such as the probabilities in eighths, so they are kept."""
+    exact = Fraction(x)
+    float(exact)
+    return exact
+
+
+def _numbers(xs):
+    """The JSON numbers xs as decoded by _decode_num, a whole list at a
+    time: floats as they are (the constructors' range checks see NaN and
+    infinities), ints and "p/q" strings as Fractions. Raises ValueError or
+    ArithmeticError when xs mixes floats with exact numbers or holds
+    anything else, or an exact number breaks a rule."""
+    kinds = set(map(type, xs))
+    if kinds == {float}:
+        return xs
+    if kinds <= {int, str}:
+        return list(map(_exact, xs))
+    raise ValueError("neither floats nor exact numbers alone")
 
 
 def _encode_law(law):
@@ -61,6 +96,16 @@ def _encode_law(law):
 def _decode_law(pairs, where):
     if not isinstance(pairs, list):
         raise ParseError(f"{where}: law must be a list of [value, prob] pairs")
+    if set(map(type, pairs)) == {list}:
+        kinds = set(map(type, chain.from_iterable(pairs)))
+        try:  # a pair of the wrong length fails to unpack: a ValueError
+            if kinds == {float}:
+                return DiscreteDistribution(pairs)
+            if kinds <= {int, str}:
+                return DiscreteDistribution([(_exact(v), _exact(p)) for v, p in pairs])
+        except (ArithmeticError, ValueError):
+            pass  # a ValidationError too: a number breaking a rule comes first
+    # pair by pair, in document order, for the message
     out = []
     for k, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -72,6 +117,16 @@ def _decode_law(pairs, where):
             )
         )
     return DiscreteDistribution(out)
+
+
+def _decode_config(cd):
+    mults = _field(cd, "multipliers", list)
+    try:
+        return Configuration(_numbers(mults), _decode_law(_field(cd, "law", list), "law"))
+    except (ArithmeticError, ValueError):
+        # again number by number, in document order, for the message
+        mults = [_decode_num(a, "multipliers") for a in mults]
+        return Configuration(mults, _decode_law(_field(cd, "law", list), "law"))
 
 
 def instance_to_dict(inst):
@@ -123,16 +178,7 @@ def instance_from_dict(doc):
         if kind == "config":
             requests = []
             for rd in _field(doc, "requests", list):
-                configs = [
-                    Configuration(
-                        [
-                            _decode_num(a, "multipliers")
-                            for a in _field(cd, "multipliers", list)
-                        ],
-                        _decode_law(_field(cd, "law", list), "law"),
-                    )
-                    for cd in _field(rd, "configs", list)
-                ]
+                configs = [_decode_config(cd) for cd in _field(rd, "configs", list)]
                 requests.append(Request(_field(rd, "id", int), configs))
             return ConfigInstance(_field(doc, "m", int), requests)
         if kind == "unrelated":
@@ -201,6 +247,8 @@ def loads_instance(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer past Python's digit limit, not a float either
+        raise ParseError(f"number out of range: {exc}") from None
     return instance_from_dict(doc)
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from numbers import Rational
 
 from .distributions import (
+    EXACT_TYPES,
     DiscreteDistribution,
     ValidationError,
     as_exact,
@@ -44,15 +46,20 @@ class Configuration:
         mults = tuple(multipliers)
         if not mults:
             raise ValidationError("configuration needs at least one resource")
-        for a in mults:
-            if not is_finite(a):
-                raise ValidationError(f"non-finite multiplier {a}")
-            if a < 0:
-                raise ValidationError(f"negative multiplier {a}")
+        self.max_multiplier = top = max(mults)
+        # 0 <= a < inf for every a, checked a whole list at a time: ints and
+        # Fractions are finite, and a NaN, which min and max may skip, makes
+        # the sum NaN (a sum of floats is cheap, of Fractions is not)
+        exact = type(top) is not float and set(map(type, mults)) <= EXACT_TYPES
+        if not (min(mults) >= 0 and (exact or top < math.inf and (s := sum(mults)) == s)):
+            for a in mults:
+                if not is_finite(a):
+                    raise ValidationError(f"non-finite multiplier {a}")
+                if a < 0:
+                    raise ValidationError(f"negative multiplier {a}")
         self.multipliers = mults
         self.law = law
-        self.max_multiplier = max(mults)
-        self._nonzero = tuple(i for i, a in enumerate(mults) if a != 0)
+        self._nonzero = tuple(compress(range(len(mults)), mults))
 
     def expected_max(self):
         """E[max_i X_i(c)] = (max_i a_i) * E[X]."""
@@ -99,9 +106,10 @@ class Configuration:
         return (exceptional, *loads)
 
     def exact(self):
-        """This configuration in Fractions; itself when it already is."""
+        """This configuration in exact numbers; itself when it already is
+        (ints and Fractions), else a copy in Fractions."""
         law = self.law.exact()
-        if law is self.law and all(type(a) is Fraction for a in self.multipliers):
+        if law is self.law and set(map(type, self.multipliers)) <= EXACT_TYPES:
             return self
         return Configuration([as_exact(a) for a in self.multipliers], law)
 
@@ -160,6 +168,9 @@ class ConfigInstance:
         return len(self.requests)
 
     def exact(self):
+        """This instance in exact numbers; itself when it already is."""
+        if all(c.exact() is c for r in self.requests for c in r.configs):
+            return self
         return ConfigInstance(
             self.m,
             [Request(r.id, [c.exact() for c in r.configs]) for r in self.requests],
@@ -395,6 +406,23 @@ def as_config_instance(inst):
         raise ValidationError(
             f"expected a config, unrelated or related instance, got {inst.kind}"
         )
+    return inst
+
+
+def as_float_config_instance(inst):
+    """as_config_instance for the layers that compute in floats (the LP,
+    the online and offline algorithms): also rejects a configuration whose
+    largest load, its largest multiplier times its largest value, is not a
+    finite float."""
+    inst = as_config_instance(inst)
+    for r in inst.requests:
+        for k, c in enumerate(r.configs):
+            a, v = c.max_multiplier, c.law.support[-1][0]
+            if not math.isfinite(float(a) * float(v)):
+                raise ValidationError(
+                    f"request {r.id} configuration {k}: largest load {a} * {v} "
+                    "is not a finite float"
+                )
     return inst
 
 

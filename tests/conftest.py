@@ -5,15 +5,26 @@ and LP machinery so the tests cross-check two genuinely different routes to
 the same quantity.
 """
 
+import json
 import math
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
 
-from cfgbal.distributions import DiscreteDistribution
+from cfgbal.distributions import PROB_SUM_TOL, DiscreteDistribution, ValidationError
 from cfgbal.graphs import path_key
-from cfgbal.instances import random_tiny_instance
+from cfgbal.instance_io import ParseError
+from cfgbal.instances import (
+    Configuration,
+    ConfigInstance,
+    RelatedInstance,
+    Request,
+    RoutingInstance,
+    UnrelatedInstance,
+    random_tiny_instance,
+)
 from cfgbal.lp import LinearProgram, solve_feasibility, Infeasible
 from cfgbal.instances import routing_to_config, NoFeasiblePath
 from cfgbal.simulate import request_stream
@@ -636,3 +647,192 @@ def reference_lex_shortest_path(n_vertices, edges, edge_ids, weights, source, si
     if not walk(source):
         return None
     return tuple(path)
+
+
+# ---------------------------------------------------------------------------
+# reference instance decoder: the per-number decoder of instance_io before
+# the type-dispatched one, verbatim, on top of the per-pair validation of
+# DiscreteDistribution.__init__ and Configuration.__init__ it relied on
+
+
+def _reference_is_finite(x):
+    return isinstance(x, (int, Fraction)) or math.isfinite(x)
+
+
+def reference_distribution(support):
+    """The per-pair checks of the former DiscreteDistribution.__init__, in
+    their order; the law itself is the library's, of the sorted pairs."""
+    pairs = sorted(((v, p) for v, p in support), key=lambda vp: float(vp[0]))
+    if not pairs:
+        raise ValidationError("distribution support is empty")
+    for v, p in pairs:
+        if not _reference_is_finite(v):
+            raise ValidationError(f"non-finite support value {v}")
+        if v < 0:
+            raise ValidationError(f"negative support value {v}")
+        if not (0 < p <= 1):
+            raise ValidationError(f"probability {p} outside (0, 1]")
+    for (v1, _), (v2, _) in zip(pairs, pairs[1:]):
+        if v1 == v2:
+            raise ValidationError(f"duplicate support value {v1}")
+    total = sum(p for _, p in pairs)
+    if all(isinstance(v, Rational) and isinstance(p, Rational) for v, p in pairs):
+        if total != 1:
+            raise ValidationError(f"probabilities sum to {total}, expected 1")
+    elif abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValidationError(f"probabilities sum to {total}, expected 1")
+    return DiscreteDistribution(pairs)
+
+
+def reference_configuration(multipliers, law):
+    """The per-multiplier checks of the former Configuration.__init__."""
+    mults = tuple(multipliers)
+    if not mults:
+        raise ValidationError("configuration needs at least one resource")
+    for a in mults:
+        if not _reference_is_finite(a):
+            raise ValidationError(f"non-finite multiplier {a}")
+        if a < 0:
+            raise ValidationError(f"negative multiplier {a}")
+    return Configuration(mults, law)
+
+
+def _reference_decode_num(x, where):
+    if isinstance(x, bool):
+        raise ParseError(f"{where}: expected a number, got {x!r}")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ParseError(f"{where}: non-finite number {x!r}")
+        return x
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{where}: bad rational {x!r}: {exc}") from None
+    raise ParseError(f"{where}: expected a number, got {type(x).__name__}")
+
+
+def _reference_decode_law(pairs, where):
+    if not isinstance(pairs, list):
+        raise ParseError(f"{where}: law must be a list of [value, prob] pairs")
+    out = []
+    for k, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ParseError(f"{where}[{k}]: expected [value, prob]")
+        out.append(
+            (
+                _reference_decode_num(pair[0], f"{where}[{k}].value"),
+                _reference_decode_num(pair[1], f"{where}[{k}].prob"),
+            )
+        )
+    return reference_distribution(out)
+
+
+def reference_instance_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
+    kind = doc.get("kind")
+    try:
+        if kind == "config":
+            requests = []
+            for rd in _reference_field(doc, "requests", list):
+                configs = [
+                    reference_configuration(
+                        [
+                            _reference_decode_num(a, "multipliers")
+                            for a in _reference_field(cd, "multipliers", list)
+                        ],
+                        _reference_decode_law(_reference_field(cd, "law", list), "law"),
+                    )
+                    for cd in _reference_field(rd, "configs", list)
+                ]
+                requests.append(Request(_reference_field(rd, "id", int), configs))
+            return ConfigInstance(_reference_field(doc, "m", int), requests)
+        if kind == "unrelated":
+            jobs = []
+            for j, row in enumerate(_reference_field(doc, "jobs", list)):
+                if not isinstance(row, list):
+                    raise ParseError(f"jobs[{j}]: expected a list of per-machine laws")
+                jobs.append([_reference_decode_law(law, f"jobs[{j}][{i}]") for i, law in enumerate(row)])
+            return UnrelatedInstance(_reference_field(doc, "m", int), jobs)
+        if kind == "related":
+            speeds = [_reference_decode_num(s, "speeds") for s in _reference_field(doc, "speeds", list)]
+            jobs = [
+                _reference_decode_law(law, f"jobs[{j}]")
+                for j, law in enumerate(_reference_field(doc, "jobs", list))
+            ]
+            return RelatedInstance(speeds, jobs)
+        if kind == "routing":
+            edges = [
+                (
+                    _reference_int_at(e, 0, f"edges[{k}]"),
+                    _reference_int_at(e, 1, f"edges[{k}]"),
+                    _reference_decode_num(e[2], f"edges[{k}].capacity"),
+                )
+                for k, e in enumerate(_reference_field(doc, "edges", list))
+            ]
+            requests = [
+                (
+                    _reference_int_at(r, 0, f"requests[{k}]"),
+                    _reference_int_at(r, 1, f"requests[{k}]"),
+                    _reference_decode_law(r[2], f"requests[{k}].law"),
+                )
+                for k, r in enumerate(_reference_field(doc, "requests", list))
+            ]
+            return RoutingInstance(_reference_field(doc, "vertices", int), edges, requests)
+    except (IndexError, KeyError) as exc:
+        raise ParseError(f"malformed instance document: {exc}") from None
+    raise ParseError(f"unknown instance kind {kind!r}")
+
+
+def _reference_field(doc, name, typ):
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected an object with field {name!r}, got {type(doc).__name__}")
+    if name not in doc:
+        raise ParseError(f"missing field {name!r}")
+    value = doc[name]
+    if not isinstance(value, typ) or isinstance(value, bool):
+        raise ParseError(f"field {name!r}: expected {typ.__name__}")
+    return value
+
+
+def _reference_int_at(seq, idx, where):
+    if not isinstance(seq, list) or len(seq) <= idx:
+        raise ParseError(f"{where}: expected a list with >= {idx + 1} entries")
+    v = seq[idx]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ParseError(f"{where}[{idx}]: expected an integer")
+    return v
+
+
+def reference_loads_instance(text):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    return reference_instance_from_dict(doc)
+
+
+def decoded_numbers(inst):
+    """Every number of an instance in document order, as (type name, repr):
+    repr tells -0.0 from 0.0 and a Fraction from an equal float or int, and
+    the support order is part of the sequence."""
+    def laws(law):
+        return [x for pair in law.support for x in pair]
+
+    if isinstance(inst, ConfigInstance):
+        xs = [inst.m]
+        for r in inst.requests:
+            xs.append(r.id)
+            for c in r.configs:
+                xs += list(c.multipliers) + laws(c.law)
+    elif isinstance(inst, UnrelatedInstance):
+        xs = [inst.m] + [x for row in inst.jobs for law in row for x in laws(law)]
+    elif isinstance(inst, RelatedInstance):
+        xs = list(inst.speeds) + [x for law in inst.jobs for x in laws(law)]
+    else:
+        xs = [inst.vertices] + [x for edge in inst.edges for x in edge]
+        xs += [x for s, t, law in inst.requests for x in (s, t, *laws(law))]
+    return [(type(x).__name__, repr(x)) for x in xs]

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -210,6 +211,67 @@ class TestNonFiniteInput:
         assert_one_error_line(captured.err)
         assert "non-finite" in captured.err
         assert "lambda" not in captured.out
+
+
+HUGE_LAW = (
+    '{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [{"multipliers": [1], '
+    '"law": [[%d, "1/2"], [1, "1/2"]]}]}]}' % 10**400
+)
+OVERFLOWING_LOAD = (
+    '{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [{"multipliers": [1e308], '
+    '"law": [[1e308, 1.0]]}]}]}'
+)
+
+
+class TestBeyondFloats:
+    """An exact number without a finite float value is an input error; a
+    configuration whose largest load overflows a float is one for the float
+    layers, while the exact oracle still answers."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("online", "--algo", "config"),
+            ("offline", "--algo", "config"),
+            ("oracle", "--what", "opt"),
+            ("lp-check", "--tau", "2"),
+        ],
+    )
+    def test_huge_exact_value(self, tmp_path, capsys, argv):
+        src = tmp_path / "huge.json"
+        src.write_text(HUGE_LAW)
+        assert run_cli(*argv, "--in", str(src)) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "error: law[0].value: 1000" in err and "has no finite float value" in err
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        src = tmp_path / "digits.json"
+        src.write_text(HUGE_LAW.replace(str(10**400), "7" * 5000))
+        assert run_cli("oracle", "--what", "opt", "--in", str(src)) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "error: number out of range" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("online", "--algo", "config"), ("offline", "--algo", "config"), ("lp-check", "--tau", "2")],
+    )
+    def test_overflowing_load(self, tmp_path, capsys, argv):
+        src = tmp_path / "load.json"
+        src.write_text(OVERFLOWING_LOAD)
+        assert run_cli(*argv, "--in", str(src)) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert "request 0 configuration 0: largest load 1e+308 * 1e+308" in captured.err
+        assert "lambda" not in captured.out
+
+    def test_oracle_answers_overflowing_load_exactly(self, tmp_path, capsys):
+        src = tmp_path / "load.json"
+        src.write_text(OVERFLOWING_LOAD)
+        assert run_cli("oracle", "--in", str(src), "--what", "opt") == 0
+        want = Fraction(1e308) ** 2
+        assert capsys.readouterr().out == f"# oracle opt\nexpected_makespan: {want}\n"
 
 
 class TestArgumentErrors:

@@ -138,6 +138,12 @@ class TestExactMode:
         assert d((0, Fraction(1, 2)), (1, Fraction(1, 2))).is_exact
         assert not d((0.5, 0.5), (1, 0.5)).is_exact
 
+    def test_exact_keeps_ints(self):
+        law = d((0, Fraction(1, 2)), (2, Fraction(1, 2)))
+        assert law.exact() is law
+        copy = d((0, Fraction(1, 2)), (2.0, Fraction(1, 2))).exact()
+        assert [type(x) for pair in copy.support for x in pair] == [Fraction] * 4
+
     def test_exact_conversion_roundtrip(self):
         dist = d((0.5, 0.25), (1.5, 0.75))
         ex = dist.exact()

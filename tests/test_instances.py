@@ -317,6 +317,12 @@ class TestInstanceIO:
 
 
 class TestConfigurationMath:
+    def test_exact_keeps_int_data(self):
+        for inst in tiny_suite("config", 5, seed=5):
+            assert inst.exact() is inst
+        cfg = Configuration([1.0, 0], point_mass(1))
+        assert [type(a) for a in cfg.exact().multipliers] == [Fraction, Fraction]
+
     def test_expected_max_uses_top_multiplier(self):
         law = DiscreteDistribution([(0, Fraction(1, 2)), (2, Fraction(1, 2))])
         cfg = Configuration([Fraction(1, 2), 2], law)
