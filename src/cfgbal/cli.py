@@ -23,7 +23,7 @@ from .instance_io import ParseError, read_instance, write_instance
 from .instances import (
     RelatedInstance,
     RoutingInstance,
-    as_float_config_instance,
+    as_float_instance,
     gen_adaptivity_gap_instance,
     gen_clairvoyance_adversary_instance,
     random_tiny_instance,
@@ -176,18 +176,14 @@ def cmd_smooth(args):
 
 
 def cmd_offline(args):
-    inst = read_instance(getattr(args, "in"))
+    inst = as_float_instance(read_instance(getattr(args, "in")), args.algo)
     rng = request_stream(args.seed, 0)
     if args.algo == "routing":
-        if not isinstance(inst, RoutingInstance):
-            raise ValidationError("offline routing expects a routing instance")
         report = offline_routing(inst, rng)
     elif args.algo == "related":
-        if not isinstance(inst, RelatedInstance):
-            raise ValidationError("offline related expects a related instance")
         _, report = offline_related(inst, rng)
     else:
-        report = offline_config_balancing(as_float_config_instance(inst), rng)
+        report = offline_config_balancing(inst, rng)
     pairs = [
         ("algorithm", args.algo),
         ("seed", args.seed),
@@ -205,20 +201,15 @@ def cmd_offline(args):
 
 
 def cmd_online(args):
-    inst = read_instance(getattr(args, "in"))
+    kind = "related" if args.algo == "sqrt-baseline" else args.algo
+    inst = as_float_instance(read_instance(getattr(args, "in")), kind)
     if args.algo == "routing":
-        if not isinstance(inst, RoutingInstance):
-            raise ValidationError("online routing expects a routing instance")
         run = run_online_routing(inst)
     elif args.algo == "related":
-        if not isinstance(inst, RelatedInstance):
-            raise ValidationError("online related expects a related instance")
         rng = request_stream(args.seed, 0)
         realized = [law.sample(rng) for law in inst.jobs]
         run, _ = run_online_related(inst, lambda j, law: realized[j])
     elif args.algo == "sqrt-baseline":
-        if not isinstance(inst, RelatedInstance):
-            raise ValidationError("sqrt-baseline expects a related instance")
         rng = request_stream(args.seed, 0)
         realized = [law.sample(rng) for law in inst.jobs]
         trace, sched = nonclairvoyant_sqrt_list(inst, lambda j, i: realized[j])
@@ -228,7 +219,7 @@ def cmd_online(args):
         write_report(report_lines("online report", pairs), args.report)
         return EXIT_OK
     else:
-        run = run_online_config(as_float_config_instance(inst))
+        run = run_online_config(inst)
     pairs = [
         ("algorithm", args.algo),
         ("seed", args.seed),
@@ -285,10 +276,10 @@ def cmd_lp_check(args):
     inst = read_instance(getattr(args, "in"))
     tau = float(parse_tau(args.tau))
     if isinstance(inst, RoutingInstance):
-        verdict = solve_lpp_column_generation(inst, tau)
+        verdict = solve_lpp_column_generation(as_float_instance(inst, "routing"), tau)
         name = "LP_P"
     else:
-        verdict = solve_lpc(as_float_config_instance(inst), tau)
+        verdict = solve_lpc(as_float_instance(inst, "config"), tau)
         name = "LP_C"
     if isinstance(verdict, Infeasible):
         print(f"{name} infeasible at tau={tau}: {verdict.reason}")

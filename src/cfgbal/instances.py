@@ -409,20 +409,53 @@ def as_config_instance(inst):
     return inst
 
 
-def as_float_config_instance(inst):
-    """as_config_instance for the layers that compute in floats (the LP,
-    the online and offline algorithms): also rejects a configuration whose
-    largest load, its largest multiplier times its largest value, is not a
-    finite float."""
-    inst = as_config_instance(inst)
-    for r in inst.requests:
-        for k, c in enumerate(r.configs):
-            a, v = c.max_multiplier, c.law.support[-1][0]
-            if not math.isfinite(float(a) * float(v)):
-                raise ValidationError(
-                    f"request {r.id} configuration {k}: largest load {a} * {v} "
-                    "is not a finite float"
-                )
+def as_float_instance(inst, kind):
+    """inst as a `kind` instance for the layers that compute in floats (the
+    LP, the online and offline algorithms): kind "config" reduces load
+    balancing input through as_config_instance, "related" and "routing"
+    take only their own kind. Rejects an instance whose largest load, by
+    check_float_loads, is not a finite float."""
+    if kind == "config":
+        if isinstance(inst, RelatedInstance):
+            check_float_loads(inst)  # named before the reduction overflows
+        inst = as_config_instance(inst)
+    elif inst.kind != kind:
+        raise ValidationError(f"expected a {kind} instance, got {inst.kind}")
+    return check_float_loads(inst)
+
+
+def check_float_loads(inst):
+    """Raise a ValidationError naming the first largest load that is not a
+    finite float: a configuration's largest multiplier times its largest
+    value, a related job's largest value over the slowest speed, a routing
+    request's largest value over the smallest capacity. Returns inst."""
+    if isinstance(inst, ConfigInstance):
+        where = "request {} configuration {}"
+        loads = (
+            ((r.id, k), c.max_multiplier, "*", c.law.support[-1][0])
+            for r in inst.requests
+            for k, c in enumerate(r.configs)
+        )
+    elif isinstance(inst, RelatedInstance):
+        where = "job {} machine {}"
+        i = min(range(inst.m), key=inst.speeds.__getitem__)
+        loads = (((j, i), law.support[-1][0], "/", inst.speeds[i]) for j, law in enumerate(inst.jobs))
+    else:
+        where = "request {} edge {}"
+        e = min(range(inst.m), key=inst.capacities.__getitem__, default=0)
+        loads = (
+            ((j, e), law.support[-1][0], "/", inst.edges[e][2])
+            for j, (_, _, law) in enumerate(inst.requests)
+        )
+    for at, a, op, b in loads:
+        try:
+            load = float(a) * float(b if op == "*" else _invert(b))
+        except OverflowError:
+            load = math.inf
+        if not math.isfinite(load):
+            raise ValidationError(
+                f"{where.format(*at)}: largest load {a} {op} {b} is not a finite float"
+            )
     return inst
 
 

@@ -4,24 +4,39 @@ threshold search, and the routing path LP via column generation.
 Feasibility is decided by an explicit phase-1 program (minimize total
 constraint violation through artificial variables); a point is feasible iff
 the phase-1 optimum is at most FEAS_TOL. LP_C and the column-generation
-master both go through phase1, the one call of scipy's HiGHS simplex, which
-is deterministic for a fixed input. Both LPs share one threshold search,
-which returns the solution it found at the threshold it returns, so the
-offline drivers round that solution without solving again. Its last
+master both go through phase1, which assembles one sparse column-wise model
+and hands it to HiGHS through scipy's bundled bindings
+(scipy.optimize._highspy._core) under the options scipy's linprog sets for
+method="highs"; the dual simplex is deterministic for a fixed input. phase1
+keeps linprog's checks: finite input, an optimal model status, and a
+solution within linprog's residual tolerance. Both LPs share one threshold
+search, which returns the solution it found at the threshold it returns, so
+the offline drivers round that solution without solving again. Its last
 infeasible midpoint is at least tau * (1 - eps) and certifies
 E[OPT] > tau * (1 - eps) / 2.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .distributions import check_tau
 from .graphs import lex_shortest_path
 from .instances import NoFeasiblePath, RoutingRequestView, routing_to_config
 
 FEAS_TOL = 1e-9
+RESIDUAL_TOL = np.sqrt(1e-9) * 10  # linprog's acceptance tolerance at its default tol
+
+# what scipy's linprog sets for method="highs"; HiGHS copies it per solve
+_OPTIONS = highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
+_OPTIONS.highs_debug_level = highs.kHighsDebugLevelNone
+_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 
 
 class NumericalFailure(RuntimeError):
@@ -48,8 +63,8 @@ class Infeasible:
 
 
 class LinearProgram:
-    """Dense feasibility LP: named variables, rows with sense in
-    {<=, =, >=}. Adequate for desk-scale problems (<= 1e4 nonzeros)."""
+    """Feasibility LP: named variables, sparse rows with sense in
+    {<=, =, >=}."""
 
     def __init__(self, var_names):
         self.var_names = list(var_names)
@@ -68,43 +83,91 @@ class LinearProgram:
         self.rows.append((dict(coeffs), sense, float(rhs), name))
 
 
-def phase1(a_eq, b_eq, a_ub, b_ub):
-    """The one HiGHS call: minimize the total violation of A_eq x = b_eq,
-    A_ub x <= b_ub over x >= 0. Artificial columns follow the structural
-    ones: one per equality row (signed like its right-hand side), then one
-    per <= row with a negative right-hand side. Returns scipy's result over
-    [x, artificials]. Phase 1 is always feasible and bounded, so any
-    non-zero solver status means HiGHS gave up: NumericalFailure."""
-    n = a_eq.shape[1]
-    n_eq, n_ub = len(b_eq), len(b_ub)
-    neg = np.flatnonzero(b_ub < 0)
-    n_art = n_eq + len(neg)
-    full_eq = np.zeros((n_eq, n + n_art))
-    full_eq[:, :n] = a_eq
-    full_eq[np.arange(n_eq), n + np.arange(n_eq)] = np.where(b_eq >= 0, 1.0, -1.0)
-    full_ub = np.zeros((n_ub, n + n_art))
-    full_ub[:, :n] = a_ub
-    full_ub[neg, n + n_eq + np.arange(len(neg))] = -1.0
-    res = linprog(
-        np.concatenate([np.zeros(n), np.ones(n_art)]),
-        A_ub=full_ub if n_ub else None,
-        b_ub=b_ub if n_ub else None,
-        A_eq=full_eq if n_eq else None,
-        b_eq=b_eq if n_eq else None,
-        bounds=(0, None),
-        method="highs",
+# what phase 1 reads back from HiGHS: x = col_value, fun = the objective
+# value, row_value and row_dual over the stacked rows (<= rows, then = rows),
+# nit = simplex iterations
+HighsSolution = namedtuple("HighsSolution", "x fun row_value row_dual nit")
+
+
+def linprog(model):
+    """The one HiGHS call, timed under this name by perfbench's tracer:
+    solve a column-wise HighsLp under _OPTIONS. A model status other than
+    optimal (or empty, for a model without columns) means HiGHS gave up:
+    NumericalFailure."""
+    solver = highs._Highs()
+    solver.passOptions(_OPTIONS)
+    status = highs.HighsModelStatus.kModelError
+    if solver.passModel(model) != highs.HighsStatus.kError:
+        solver.run()
+        status = solver.getModelStatus()
+    if status not in (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kModelEmpty):
+        raise NumericalFailure(f"phase-1 solver status: {solver.modelStatusToString(status)}")
+    solution, info = solver.getSolution(), solver.getInfo()
+    return HighsSolution(
+        np.array(solution.col_value),
+        info.objective_function_value,
+        np.array(solution.row_value),
+        np.array(solution.row_dual),
+        max(info.simplex_iteration_count, 0),
     )
-    if res.status != 0:
-        raise NumericalFailure(f"phase-1 solver status {res.status}: {res.message}")
+
+
+def phase1_model(n, row, col, val, b_ub, b_eq):
+    """The column-wise phase-1 HighsLp: minimize the total violation of
+    A_ub x <= b_ub, A_eq x = b_eq over x >= 0. The structural matrix comes
+    as coordinate entries (row[i], col[i], val[i]), no position twice, with
+    rows numbered over the <= rows and then the = rows. Artificial columns
+    follow the n structural ones: one per = row (signed like its right-hand
+    side), then one per <= row with a negative right-hand side. Zero entries
+    are dropped and row indices ascend within a column. A non-finite
+    coefficient or right-hand side raises NumericalFailure."""
+    val = np.asarray(val, dtype=float)
+    b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
+    if not (np.isfinite(val).all() and np.isfinite(b_ub).all() and np.isfinite(b_eq).all()):
+        raise NumericalFailure("phase-1 input has a non-finite coefficient or right-hand side")
+    n_ub, n_eq = len(b_ub), len(b_eq)
+    neg = np.flatnonzero(b_ub < 0)
+    n_cols = n + n_eq + len(neg)
+    row = np.concatenate((np.asarray(row, dtype=int), n_ub + np.arange(n_eq), neg))
+    col = np.concatenate((np.asarray(col, dtype=int), np.arange(n, n_cols)))
+    val = np.concatenate((val, np.where(b_eq >= 0, 1.0, -1.0), np.full(len(neg), -1.0)))
+    nonzero = val != 0
+    row, col, val = row[nonzero], col[nonzero], val[nonzero]
+    order = np.lexsort((row, col))
+    # lists: the bindings copy them into HiGHS faster than numpy arrays
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n_cols
+    model.num_row_ = model.a_matrix_.num_row_ = n_ub + n_eq
+    model.col_cost_ = [0.0] * n + [1.0] * (n_cols - n)
+    model.col_lower_ = [0.0] * n_cols
+    model.col_upper_ = [np.inf] * n_cols
+    model.row_lower_ = [-np.inf] * n_ub + b_eq.tolist()
+    model.row_upper_ = b_ub.tolist() + b_eq.tolist()
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = [0] + np.cumsum(np.bincount(col, minlength=n_cols)).tolist()
+    model.a_matrix_.index_ = row[order].tolist()
+    model.a_matrix_.value_ = val[order].tolist()
+    return model
+
+
+def phase1(n, row, col, val, b_ub, b_eq):
+    """Solve phase1_model and return the HighsSolution over [x,
+    artificials]. Phase 1 is always feasible and bounded, so a solution
+    that breaks linprog's acceptance rule (a NaN, x < -tol, a <= row over
+    its bound by more than tol, an = row off by more than tol, with
+    tol = 10 * sqrt(1e-9)) means HiGHS gave up: NumericalFailure."""
+    b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
+    res = linprog(phase1_model(n, row, col, val, b_ub, b_eq))
+    slack = b_ub - res.row_value[: len(b_ub)]
+    residual = np.abs(b_eq - res.row_value[len(b_ub):])
+    if not (
+        (res.x >= -RESIDUAL_TOL).all()
+        and (slack >= -RESIDUAL_TOL).all()
+        and (residual <= RESIDUAL_TOL).all()
+        and not np.isnan(res.fun)
+    ):
+        raise NumericalFailure(f"phase-1 solution violates its rows or bounds by more than {RESIDUAL_TOL:.2e}")
     return res
-
-
-def _dense_rows(rows, n):
-    mat = np.zeros((len(rows), n))
-    for r, (coeffs, _) in enumerate(rows):
-        for k, v in coeffs.items():
-            mat[r, k] = float(v)
-    return mat, np.array([rhs for _, rhs in rows], dtype=float)
 
 
 def solve_feasibility(lp):
@@ -115,7 +178,15 @@ def solve_feasibility(lp):
         if sense == ">=":
             coeffs, rhs = {k: -v for k, v in coeffs.items()}, -rhs
         (eq if sense == "=" else ub).append((coeffs, rhs))
-    res = phase1(*_dense_rows(eq, lp.n_vars), *_dense_rows(ub, lp.n_vars))
+    rows = ub + eq
+    res = phase1(
+        lp.n_vars,
+        [i for i, (coeffs, _) in enumerate(rows) for _ in coeffs],
+        [k for coeffs, _ in rows for k in coeffs],
+        [v for coeffs, _ in rows for v in coeffs.values()],
+        [rhs for _, rhs in ub],
+        [rhs for _, rhs in eq],
+    )
     if res.fun > FEAS_TOL:
         return Infeasible(f"phase-1 violation {res.fun:.3e}")
     return np.clip(res.x[: lp.n_vars], 0.0, None)
@@ -313,17 +384,17 @@ def separation_oracle_dp(r, tau, point, tol=FEAS_TOL):
 
 
 def _routing_master(r, tau, views, columns):
-    """Phase-1 master LP for a restricted column set; returns scipy's
-    result and the (request, path) of each structural column."""
+    """Phase-1 master LP for a restricted column set over the m edge rows,
+    the exceptional row and one convexity row per request; returns the
+    HighsSolution and the (request, path) of each structural column."""
     cols = [(j, path) for j, paths in enumerate(columns) for path in sorted(paths)]
-    a_eq = np.zeros((r.n, len(cols)))
-    a_ub = np.zeros((r.m + 1, len(cols)))
+    row, col, val = [], [], []
     for k, (j, path) in enumerate(cols):
-        a_eq[j, k] = 1.0
-        for e in path:
-            a_ub[e, k] += views[j].truncated[e]
-        a_ub[r.m, k] = views[j].exceptional(path)
-    return phase1(a_eq, np.ones(r.n), a_ub, np.full(r.m + 1, float(tau))), cols
+        view = views[j]
+        row += [*path, r.m, r.m + 1 + j]
+        col += [k] * (len(path) + 2)
+        val += [*(view.truncated[e] for e in path), view.exceptional(path), 1.0]
+    return phase1(len(cols), row, col, val, np.full(r.m + 1, float(tau)), np.ones(r.n)), cols
 
 
 def solve_lpp_column_generation(r, tau, tol=FEAS_TOL, max_rounds=200):
@@ -352,8 +423,7 @@ def solve_lpp_column_generation(r, tau, tol=FEAS_TOL, max_rounds=200):
             for k, (j, path) in enumerate(cols):
                 weights[j].append((path, max(float(res.x[k]), 0.0)))
             return FractionalSolution(weights)
-        y_eq = np.asarray(res.eqlin.marginals)
-        y_ub = np.asarray(res.ineqlin.marginals)
+        y_ub, y_eq = res.row_dual[: r.m + 1], res.row_dual[r.m + 1 :]
         b = [-y_ub[e] for e in range(r.m)]
         c_coef = -y_ub[r.m]
         added = False

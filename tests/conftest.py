@@ -12,6 +12,8 @@ from numbers import Rational
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from cfgbal.distributions import PROB_SUM_TOL, DiscreteDistribution, ValidationError
 from cfgbal.graphs import path_key
@@ -114,6 +116,36 @@ def full_path_lp(r, tau):
     if isinstance(x, Infeasible):
         return x
     return {(j, path): x[k] for k, (j, path) in enumerate(columns)}
+
+
+def reference_phase1(a_eq, b_eq, a_ub, b_ub):
+    """The dense phase 1 through scipy's linprog: minimize the total
+    violation of A_eq x = b_eq, A_ub x <= b_ub over x >= 0. Artificial
+    columns follow the structural ones: one per equality row (signed like
+    its right-hand side), then one per <= row with a negative right-hand
+    side. Returns linprog's result with the CSC matrix and the costs it
+    hands HiGHS."""
+    n = a_eq.shape[1]
+    n_eq, n_ub = len(b_eq), len(b_ub)
+    neg = np.flatnonzero(b_ub < 0)
+    n_art = n_eq + len(neg)
+    full_eq = np.zeros((n_eq, n + n_art))
+    full_eq[:, :n] = a_eq
+    full_eq[np.arange(n_eq), n + np.arange(n_eq)] = np.where(b_eq >= 0, 1.0, -1.0)
+    full_ub = np.zeros((n_ub, n + n_art))
+    full_ub[:, :n] = a_ub
+    full_ub[neg, n + n_eq + np.arange(len(neg))] = -1.0
+    cost = np.concatenate([np.zeros(n), np.ones(n_art)])
+    res = linprog(
+        cost,
+        A_ub=full_ub if n_ub else None,
+        b_ub=b_ub if n_ub else None,
+        A_eq=full_eq if n_eq else None,
+        b_eq=b_eq if n_eq else None,
+        bounds=(0, None),
+        method="highs",
+    )
+    return res, csc_array(np.vstack((full_ub, full_eq))), cost
 
 
 def brute_force_min_dphi(r, state, j):

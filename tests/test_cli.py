@@ -117,6 +117,12 @@ class TestVerdictsAndErrors:
         assert err.startswith("error: empty request stream")
         assert "Traceback" not in err
 
+    def test_lp_check_without_requests_is_feasible(self, tmp_path, capsys):
+        src = tmp_path / "empty.json"
+        src.write_text('{"kind": "config", "m": 1, "requests": []}')
+        assert run_cli("lp-check", "--in", str(src), "--tau", "2") == 0
+        assert capsys.readouterr().out == "LP_C feasible at tau=2.0\n"
+
     def test_zero_demand_routing_exits_1(self, tmp_path, capsys):
         src = tmp_path / "zero.json"
         write_instance(RoutingInstance(2, [(0, 1, 1)], [(0, 1, point_mass(0))]), src)
@@ -221,6 +227,10 @@ OVERFLOWING_LOAD = (
     '{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [{"multipliers": [1e308], '
     '"law": [[1e308, 1.0]]}]}]}'
 )
+OVERFLOWING_ROUTE = (
+    '{"kind": "routing", "vertices": 2, "edges": [[0, 1, 1e-300]], "requests": [[0, 1, [[1e300, 1.0]]]]}'
+)
+OVERFLOWING_SPEED = '{"kind": "related", "speeds": [1e-300, 1.0], "jobs": [[[1e300, 0.5], [1.0, 0.5]]]}'
 
 
 class TestBeyondFloats:
@@ -272,6 +282,39 @@ class TestBeyondFloats:
         assert run_cli("oracle", "--in", str(src), "--what", "opt") == 0
         want = Fraction(1e308) ** 2
         assert capsys.readouterr().out == f"# oracle opt\nexpected_makespan: {want}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("offline", "--algo", "routing"), ("online", "--algo", "routing"), ("lp-check", "--tau", "2")],
+    )
+    def test_overflowing_routing_load(self, tmp_path, capsys, argv):
+        src = tmp_path / "route.json"
+        src.write_text(OVERFLOWING_ROUTE)
+        assert run_cli(*argv, "--in", str(src)) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert "error: request 0 edge 0: largest load 1e+300 / 1e-300 is not a finite float" in captured.err
+        assert "lambda" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("offline", "--algo", "related"),
+            ("offline", "--algo", "config"),
+            ("online", "--algo", "config"),
+            ("online", "--algo", "related"),
+            ("online", "--algo", "sqrt-baseline"),
+            ("lp-check", "--tau", "2"),
+        ],
+    )
+    def test_overflowing_related_load(self, tmp_path, capsys, argv):
+        src = tmp_path / "related.json"
+        src.write_text(OVERFLOWING_SPEED)
+        assert run_cli(*argv, "--in", str(src)) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert "error: job 0 machine 0: largest load 1e+300 / 1e-300 is not a finite float" in captured.err
+        assert captured.out == ""
 
 
 class TestArgumentErrors:
