@@ -21,17 +21,12 @@ from .instances import (
 )
 from .instance_io import ParseError, read_instance, write_instance
 from .lp import (
-    DualPoint,
-    FEASIBLE,
-    FractionalSolution,
     Infeasible,
     LinearProgram,
     NoFeasibleTau,
     NumericalFailure,
-    ViolatedConstraint,
     build_lpc,
     min_feasible_tau,
-    separation_oracle_dp,
     solve_feasibility,
     solve_lpc,
     solve_lpp_column_generation,

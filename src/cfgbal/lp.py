@@ -1,5 +1,5 @@
-"""Linear programs: feasibility solving, the configuration-balancing LP,
-threshold search, and the routing path LP via column generation.
+"""Linear programs: feasibility solving, the configuration-balancing LP
+LP_C, threshold search, and the routing path LP via column generation.
 
 Feasibility is decided by an explicit phase-1 program (minimize total
 constraint violation through artificial variables); a point is feasible iff
@@ -10,10 +10,10 @@ and hands it to HiGHS through scipy's bundled bindings
 method="highs"; the dual simplex is deterministic for a fixed input. phase1
 keeps linprog's checks: finite input, an optimal model status, and a
 solution within linprog's residual tolerance. Both LPs share one threshold
-search, which returns the solution it found at the threshold it returns, so
-the offline drivers round that solution without solving again. Its last
-infeasible midpoint is at least tau * (1 - eps) and certifies
-E[OPT] > tau * (1 - eps) / 2.
+search, which returns the solution {request: [(choice, weight)]} it found
+at the threshold it returns, so the offline drivers round that solution
+without solving again. Its last infeasible midpoint is at least
+tau * (1 - EPS) and certifies E[OPT] > tau * (1 - EPS) / 2.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ from scipy.optimize._highspy import _core as highs
 
 from .distributions import check_tau
 from .graphs import lex_shortest_path
-from .instances import NoFeasiblePath, RoutingRequestView, routing_to_config
+from .instances import NoFeasiblePath, routing_to_config
 
 FEAS_TOL = 1e-9
+EPS = 1e-3  # relative precision of the threshold search
+CG_MAX_ROUNDS = 200
 RESIDUAL_TOL = np.sqrt(1e-9) * 10  # linprog's acceptance tolerance at its default tol
 
 # what scipy's linprog sets for method="highs"; HiGHS copies it per solve
@@ -63,8 +65,7 @@ class Infeasible:
 
 
 class LinearProgram:
-    """Feasibility LP: named variables, sparse rows with sense in
-    {<=, =, >=}."""
+    """Feasibility LP: named variables, sparse rows with sense <= or =."""
 
     def __init__(self, var_names):
         self.var_names = list(var_names)
@@ -75,11 +76,10 @@ class LinearProgram:
         return len(self.var_names)
 
     def add_row(self, coeffs, sense, rhs, name):
-        if sense not in ("<=", "=", ">="):
+        if sense not in ("<=", "="):
             raise ValueError(f"bad sense {sense}")
-        for k in coeffs:
-            if not (0 <= k < self.n_vars):
-                raise ValueError(f"coefficient on unknown variable {k}")
+        if coeffs and not (0 <= min(coeffs) and max(coeffs) < len(self.var_names)):
+            raise ValueError(f"row {name}: coefficient on an unknown variable")
         self.rows.append((dict(coeffs), sense, float(rhs), name))
 
 
@@ -120,11 +120,17 @@ def phase1_model(n, row, col, val, b_ub, b_eq):
     follow the n structural ones: one per = row (signed like its right-hand
     side), then one per <= row with a negative right-hand side. Zero entries
     are dropped and row indices ascend within a column. A non-finite
-    coefficient or right-hand side raises NumericalFailure."""
+    coefficient or right-hand side, or a coefficient at or above HiGHS's
+    large_matrix_value in magnitude, raises NumericalFailure."""
     val = np.asarray(val, dtype=float)
     b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
     if not (np.isfinite(val).all() and np.isfinite(b_ub).all() and np.isfinite(b_eq).all()):
         raise NumericalFailure("phase-1 input has a non-finite coefficient or right-hand side")
+    largest, limit = np.abs(val).max(initial=0.0), _OPTIONS.large_matrix_value
+    if largest >= limit:
+        raise NumericalFailure(
+            f"phase-1 coefficient of magnitude {largest:g} is at or above the solver's limit {limit:g}"
+        )
     n_ub, n_eq = len(b_ub), len(b_eq)
     neg = np.flatnonzero(b_ub < 0)
     n_cols = n + n_eq + len(neg)
@@ -172,11 +178,9 @@ def phase1(n, row, col, val, b_ub, b_eq):
 
 def solve_feasibility(lp):
     """Phase-1 feasibility: a point satisfying all rows within FEAS_TOL, or
-    an Infeasible verdict. >= rows enter negated as <= rows."""
+    an Infeasible verdict."""
     eq, ub = [], []
     for coeffs, sense, rhs, _ in lp.rows:
-        if sense == ">=":
-            coeffs, rhs = {k: -v for k, v in coeffs.items()}, -rhs
         (eq if sense == "=" else ub).append((coeffs, rhs))
     rows = ub + eq
     res = phase1(
@@ -190,57 +194,6 @@ def solve_feasibility(lp):
     if res.fun > FEAS_TOL:
         return Infeasible(f"phase-1 violation {res.fun:.3e}")
     return np.clip(res.x[: lp.n_vars], 0.0, None)
-
-
-class FractionalSolution:
-    """Per-request weights over configuration ids or path descriptors."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        self.weights = {j: list(entries) for j, entries in weights.items()}
-
-    def weight_sum(self, j):
-        return sum(w for _, w in self.weights[j])
-
-    def items(self):
-        return self.weights.items()
-
-    def __getitem__(self, j):
-        return self.weights[j]
-
-    def __repr__(self):
-        return f"FractionalSolution({self.weights})"
-
-
-class DualPoint:
-    """Candidate dual (a_j per request, b_e per edge, scalar c)."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a, b, c):
-        self.a = list(a)
-        self.b = list(b)
-        self.c = c
-
-
-class ViolatedConstraint:
-    __slots__ = ("kind", "request", "path", "value")
-
-    def __init__(self, kind, request=None, path=None, value=None):
-        self.kind = kind
-        self.request = request
-        self.path = path
-        self.value = value
-
-    def __repr__(self):
-        return (
-            f"ViolatedConstraint({self.kind}, request={self.request}, "
-            f"path={self.path}, value={self.value})"
-        )
-
-
-FEASIBLE = "feasible"
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +241,8 @@ def build_lpc(inst, tau):
 
 
 def solve_lpc(inst, tau):
-    """Solve LP_C; FractionalSolution with exact zeros on pruned configs, or
+    """Solve LP_C: {request: [(configuration, weight)]} over the configurations
+    not pruned at tau (a pruned one has weight exactly zero), or
     Infeasible."""
     lp, var_map = build_lpc(inst, tau)
     present = {j for j, _ in var_map}
@@ -301,27 +255,23 @@ def solve_lpc(inst, tau):
     weights = {j: [] for j in range(inst.n)}
     for k, (j, c) in enumerate(var_map):
         weights[j].append((c, float(x[k])))
-    return FractionalSolution(weights)
+    return weights
 
 
-def threshold_search(solve, lo, hi, eps):
-    """Bisect for the smallest tau in [lo, hi] at which solve(tau) is
-    feasible, to relative precision eps, assuming feasibility is monotone
-    in tau. Returns (tau, solution) with the solution solve found feasible
-    at that tau, or (0.0, None) when hi <= 0. Every midpoint set as lo was
-    found infeasible, and the last one is at least tau * (1 - eps)."""
+def threshold_search(solve, hi):
+    """Bisect [0, hi] for a threshold at which solve(tau) is feasible, to
+    relative precision EPS. Returns (tau, solution) with the solution solve
+    found feasible at that tau, or (0.0, None) when hi <= 0. Every midpoint
+    taken as the lower end was found infeasible, and the last one is at
+    least tau * (1 - EPS). Feasibility need not be monotone in tau, so tau
+    is not claimed to be the smallest feasible threshold."""
     if hi <= 0:
         return 0.0, None
     sol = solve(hi)
     if isinstance(sol, Infeasible):
         raise NoFeasibleTau(f"LP infeasible at the upper bound tau={hi}: {sol.reason}")
-    if lo >= hi:
-        return hi, sol
-    if lo > 0:
-        low = solve(lo)
-        if not isinstance(low, Infeasible):
-            return lo, low
-    while hi - lo > eps * hi:
+    lo = 0.0
+    while hi - lo > EPS * hi:
         mid = 0.5 * (lo + hi)
         trial = solve(mid)
         if isinstance(trial, Infeasible):
@@ -331,56 +281,20 @@ def threshold_search(solve, lo, hi, eps):
     return hi, sol
 
 
-def min_feasible_tau(inst, lo=0.0, hi=None, eps=1e-3):
-    """(tau, LP_C solution at tau) for the smallest tau with LP_C(tau)
-    feasible, to relative precision eps. Feasibility is monotone in tau:
-    larger thresholds relax every row and prune fewer configurations. The
-    default upper bound sums each request's cheapest E[max]."""
-    if hi is None:
-        hi = sum(
-            float(min(c.expected_max() for c in req.configs))
-            for req in inst.requests
-        )
-    return threshold_search(lambda t: solve_lpc(inst, t), float(lo), float(hi), eps)
+def min_feasible_tau(inst):
+    """(tau, LP_C solution at tau) by threshold_search up to the sum of each
+    request's cheapest E[max], where LP_C is feasible. LP_C is feasible at
+    every tau >= 2 E[OPT] but not monotone in tau: past a support value
+    a * v, mass leaves the exceptional row for a truncated row."""
+    hi = sum(
+        float(min(c.expected_max() for c in req.configs))
+        for req in inst.requests
+    )
+    return threshold_search(lambda t: solve_lpc(inst, t), float(hi))
 
 
 # ---------------------------------------------------------------------------
-# routing: dual separation oracle and primal column generation
-
-
-def _min_price_path(view, b, c_coef):
-    """Minimize sum_e b_e E[X^T_ej] + c * exc(P) over the view's admissible
-    paths. Returns (path, value), or None if no path exists."""
-    weights = {e: b[e] * w for e, w in view.truncated.items()}
-    return view.best_path(
-        weights,
-        lambda path: sum(weights[e] for e in path) + c_coef * view.exceptional(path),
-    )
-
-
-def separation_oracle_dp(r, tau, point, tol=FEAS_TOL):
-    """Separation oracle for the dual of the path LP: rejects negative b/c,
-    otherwise searches for a path constraint with
-    a_j + sum b_e E[X^T] + c * exc < 0 via bottleneck-edge guessing."""
-    check_tau(tau)
-    for e, be in enumerate(point.b):
-        if be < 0:
-            return ViolatedConstraint("nonneg_b", path=(e,), value=be)
-    if point.c < 0:
-        return ViolatedConstraint("nonneg_c", value=point.c)
-    for j in range(r.n):
-        try:
-            view = RoutingRequestView(r, j, tau)
-        except NoFeasiblePath:
-            continue
-        best = _min_price_path(view, point.b, point.c)
-        if best is None:
-            continue
-        path, value = best
-        lhs = point.a[j] + value
-        if lhs < -tol:
-            return ViolatedConstraint("path", request=j, path=path, value=lhs)
-    return FEASIBLE
+# routing: the path LP by primal column generation
 
 
 def _routing_master(r, tau, views, columns):
@@ -397,14 +311,14 @@ def _routing_master(r, tau, views, columns):
     return phase1(len(cols), row, col, val, np.full(r.m + 1, float(tau)), np.ones(r.n)), cols
 
 
-def solve_lpp_column_generation(r, tau, tol=FEAS_TOL, max_rounds=200):
+def solve_lpp_column_generation(r, tau):
     """Feasibility of the path LP at tau by primal column generation.
 
     Maintains one admissible seed path per request, alternates solving the
     restricted phase-1 master with pricing new columns through the
-    bottleneck-edge-guessing shortest-path routine, and stops when no
-    improving column exists. Returns a FractionalSolution over paths or an
-    Infeasible verdict.
+    bottleneck-edge-guessing shortest-path routine
+    (RoutingRequestView.best_path), and stops when no improving column
+    exists. Returns {request: [(path, weight)]} or an Infeasible verdict.
     """
     check_tau(tau)
     try:
@@ -416,34 +330,39 @@ def solve_lpp_column_generation(r, tau, tol=FEAS_TOL, max_rounds=200):
         for v in views
     ]
 
-    for _ in range(max_rounds):
+    for _ in range(CG_MAX_ROUNDS):
         res, cols = _routing_master(r, tau, views, columns)
-        if res.fun <= tol:
+        if res.fun <= FEAS_TOL:
             weights = {j: [] for j in range(r.n)}
             for k, (j, path) in enumerate(cols):
                 weights[j].append((path, max(float(res.x[k]), 0.0)))
-            return FractionalSolution(weights)
+            return weights
         y_ub, y_eq = res.row_dual[: r.m + 1], res.row_dual[r.m + 1 :]
         b = [-y_ub[e] for e in range(r.m)]
         c_coef = -y_ub[r.m]
         added = False
         for j, view in enumerate(views):
-            best = _min_price_path(view, b, c_coef)
+            # minimize sum_e b_e E[X^T_ej] + c * exc(P) over admissible paths
+            prices = {e: b[e] * w for e, w in view.truncated.items()}
+            best = view.best_path(
+                prices,
+                lambda path: sum(prices[e] for e in path) + c_coef * view.exceptional(path),
+            )
             if best is None:
                 continue
             path, value = best
             # column improves iff its phase-1 reduced cost is negative
-            if value < y_eq[j] - tol and path not in columns[j]:
+            if value < y_eq[j] - FEAS_TOL and path not in columns[j]:
                 columns[j].add(path)
                 added = True
         if not added:
             return Infeasible(f"pricing found no improving column; violation {res.fun:.3e}")
-    raise NumericalFailure(f"column generation did not converge in {max_rounds} rounds")
+    raise NumericalFailure(f"column generation did not converge in {CG_MAX_ROUNDS} rounds")
 
 
-def min_feasible_tau_routing(r, eps=1e-3):
-    """(tau, path-LP solution at tau) for the smallest tau at which column
-    generation finds the path LP feasible, to relative precision eps; the
-    upper bound sums each request's cheapest expected path cost."""
+def min_feasible_tau_routing(r):
+    """(tau, path-LP solution at tau) by threshold_search over column
+    generation, up to the sum of each request's cheapest expected path
+    cost."""
     hi = sum(r.min_expected_cost(j) for j in range(r.n))
-    return threshold_search(lambda t: solve_lpp_column_generation(r, t), 0.0, hi, eps)
+    return threshold_search(lambda t: solve_lpp_column_generation(r, t), hi)

@@ -1,11 +1,12 @@
 """Offline drivers: threshold search, LP rounding, routing, related machines.
 
-The configuration and routing drivers binary-search the smallest tau with a
-feasible LP, round the solution the search found at that tau by one
-independent categorical draw per request, and report the expected loads of
-the rounded assignment. An infeasible LP at a threshold t certifies
-E[OPT] > t / 2; the search's last infeasible midpoint is at least
-tau * (1 - eps), so the report carries tau * (1 - eps) / 2 as a lower bound.
+The configuration and routing drivers binary-search a tau with a feasible
+LP, round the solution the search found at that tau by one independent
+categorical draw per request, and report the expected loads of the rounded
+assignment. An infeasible LP at a threshold t certifies E[OPT] > t / 2; the
+search's last infeasible midpoint is at least tau * (1 - EPS), so the report
+carries tau * (1 - EPS) / 2 as a lower bound. Configuration assignments are
+keyed by request id, like the online reports and policy files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .instances import (
     smooth_machines,
     unrelated_to_config,
 )
-from .lp import min_feasible_tau, min_feasible_tau_routing
+from .lp import EPS, min_feasible_tau, min_feasible_tau_routing
 
 
 class OfflineReport:
@@ -81,32 +82,32 @@ def randomized_round(sol, rng):
 
 def assignment_loads(inst, assignment, tau):
     """Expected truncated load per resource and total expected exceptional
-    load of a fixed assignment."""
+    load of a fixed assignment {request id: configuration}."""
     check_tau(tau)
     loads = [0.0] * inst.m
     exc = 0.0
-    for j, req in enumerate(inst.requests):
-        exceptional, truncated = req.configs[assignment[j]].tails(tau)
+    for req in inst.requests:
+        exceptional, truncated = req.configs[assignment[req.id]].tails(tau)
         for i, v in truncated:
             loads[i] += float(v)
         exc += float(exceptional)
     return loads, exc
 
 
-def offline_config_balancing(inst, rng, eps=1e-3):
-    """Algorithm: binary-search tau* over LP_C, round its solution
-    independently."""
-    tau, sol = min_feasible_tau(inst, eps=eps)
+def offline_config_balancing(inst, rng):
+    """Algorithm: binary-search tau over LP_C, round its solution
+    independently; the assignment is keyed by request id."""
+    tau, sol = min_feasible_tau(inst)
     if tau <= 0:
         # every request has a zero-cost configuration
         assignment = {
-            j: min(range(len(r.configs)), key=lambda c: float(r.configs[c].expected_max()))
-            for j, r in enumerate(inst.requests)
+            r.id: min(range(len(r.configs)), key=lambda c: float(r.configs[c].expected_max()))
+            for r in inst.requests
         }
         return OfflineReport(0.0, "trivial", assignment, [0.0] * inst.m, 0.0, 0.0)
-    assignment = randomized_round(sol, rng)
+    assignment = {inst.requests[j].id: c for j, c in randomized_round(sol, rng).items()}
     loads, exc = assignment_loads(inst, assignment, tau)
-    return OfflineReport(tau, "feasible", assignment, loads, exc, tau * (1.0 - eps) / 2.0)
+    return OfflineReport(tau, "feasible", assignment, loads, exc, tau * (1.0 - EPS) / 2.0)
 
 
 def routing_assignment_loads(r, assignment, tau):
@@ -122,15 +123,15 @@ def routing_assignment_loads(r, assignment, tau):
     return loads, exc
 
 
-def offline_routing(r, rng, eps=1e-3):
+def offline_routing(r, rng):
     """Offline routing: tau search via column generation, then independent
     rounding of the path weights the search found at tau."""
-    tau, sol = min_feasible_tau_routing(r, eps=eps)
+    tau, sol = min_feasible_tau_routing(r)
     if tau <= 0:
         raise ValidationError("degenerate routing instance with zero demand")
     assignment = randomized_round(sol, rng)
     loads, exc = routing_assignment_loads(r, assignment, tau)
-    return OfflineReport(tau, "feasible", assignment, loads, exc, tau * (1.0 - eps) / 2.0)
+    return OfflineReport(tau, "feasible", assignment, loads, exc, tau * (1.0 - EPS) / 2.0)
 
 
 class GroupListSchedulePolicy:
@@ -182,14 +183,14 @@ class GroupListSchedulePolicy:
         return [(j, int(machine[0]), float(size[0])) for j, machine, size in steps]
 
 
-def offline_related(r, rng, eps=1e-3):
+def offline_related(r, rng):
     """Offline related machines: smooth, reduce, run the configuration
     driver for a job-to-machine map, then list-schedule adaptively inside
     the assigned machine's speed group. Returns (policy, report); the policy
     executes on the smoothed instance (policy.instance)."""
     smoothed, surviving = smooth_machines(r)
     reduced = unrelated_to_config(related_to_unrelated(surviving))
-    report = offline_config_balancing(reduced, rng, eps=eps)
+    report = offline_config_balancing(reduced, rng)
     if report.lp_status != "feasible":
         return None, report
     group_machines = [ids for _, _, ids in smoothed.renumbered()]

@@ -140,6 +140,31 @@ class TestReports:
         assert code1 == code2
         assert r1.read_bytes() == r2.read_bytes()
 
+    @pytest.mark.parametrize("value", [2, 0], ids=["feasible", "trivial"])
+    def test_offline_choices_simulate_as_a_policy_file(self, tmp_path, capsys, value):
+        # request ids that are not positions: the report keys choices by id
+        src = tmp_path / "ids.json"
+        config = '{"multipliers": [1], "law": [[%d, 1]]}' % value
+        src.write_text(
+            '{"kind": "config", "m": 1, "requests": [{"id": 7, "configs": [%s, %s]}, '
+            '{"id": 3, "configs": [%s]}]}' % (config, config, config)
+        )
+        rep = tmp_path / "offline.txt"
+        assert run_cli("offline", "--in", str(src), "--algo", "config", "--report", str(rep)) == 0
+        choices = {
+            key[len("choice_"):]: int(choice)
+            for key, choice in (line.split(": ") for line in rep.read_text().splitlines()[1:])
+            if key.startswith("choice_")
+        }
+        assert sorted(choices) == ["3", "7"]
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"choices": choices}))
+        assert run_cli(
+            "simulate", "--in", str(src), "--policy-file", str(policy), "--trials", "10",
+            "--report", str(tmp_path / "sim.csv"),
+        ) == 0
+        assert capsys.readouterr().err == ""
+
     def test_online_report(self, tmp_path):
         src = tmp_path / "inst.json"
         run_cli("gen", "--kind", "config", "--seed", "4", "--out", str(src))

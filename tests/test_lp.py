@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgbal.distributions import DiscreteDistribution, point_mass
 from cfgbal.instances import (
@@ -11,20 +13,18 @@ from cfgbal.instances import (
     unrelated_to_config,
 )
 from cfgbal.lp import (
-    DualPoint,
-    FEASIBLE,
     Infeasible,
     LinearProgram,
     NoFeasibleTau,
     build_lpc,
     min_feasible_tau,
-    separation_oracle_dp,
     solve_feasibility,
     solve_lpc,
     solve_lpp_column_generation,
+    threshold_search,
 )
 from cfgbal.oracle import optimal_adaptive, to_config_instance
-from cfgbal.instances import gen_adaptivity_gap_instance, routing_to_config
+from cfgbal.instances import gen_adaptivity_gap_instance, random_tiny_instance, routing_to_config
 from cfgbal.online import PotentialState, online_route_step
 
 from conftest import full_path_lp, random_dag_routing, tiny_rng, tiny_suite
@@ -53,12 +53,15 @@ class TestSolveFeasibility:
         lp.add_row({0: 1.0}, "<=", 0.5, "cap")
         assert isinstance(solve_feasibility(lp), Infeasible)
 
-    def test_geq_rows(self):
+    @pytest.mark.parametrize(
+        "coeffs, sense",
+        [({2: 1.0}, "<="), ({-1: 1.0}, "="), ({0: 1.0, 5: 1.0}, "<="), ({0: 1.0}, ">=")],
+    )
+    def test_add_row_refuses_unknown_variable_or_sense(self, coeffs, sense):
         lp = LinearProgram(["x", "y"])
-        lp.add_row({0: 1.0, 1: 1.0}, ">=", 2.0, "low")
-        lp.add_row({0: 1.0}, "<=", 1.5, "cap")
-        x = solve_feasibility(lp)
-        assert x[0] + x[1] >= 2.0 - 1e-9
+        with pytest.raises(ValueError):
+            lp.add_row(coeffs, sense, 1.0, "bad")
+        assert lp.rows == []
 
 
 class TestLPC:
@@ -96,7 +99,7 @@ class TestLPC:
             if isinstance(sol, Infeasible):
                 continue
             for j in range(inst.n):
-                assert sol.weight_sum(j) == pytest.approx(1.0, abs=1e-8)
+                assert sum(w for _, w in sol[j]) == pytest.approx(1.0, abs=1e-8)
 
 
 def lpc_rows_by_coordinate(inst, tau):
@@ -185,14 +188,26 @@ class TestMinFeasibleTau:
         inst = ConfigInstance(2, [Request(0, [d1]), Request(1, [d2])])
         assert min_feasible_tau(inst)[0] == pytest.approx(3.0, rel=1e-3)
 
-    def test_degenerate_bracket(self):
-        inst = one_request(point_mass(1), 1)
-        assert min_feasible_tau(inst, lo=2.0, hi=2.0)[0] == 2.0
-
     def test_infeasible_hi_raises(self):
         inst = one_request(point_mass(10), 10)
         with pytest.raises(NoFeasibleTau):
-            min_feasible_tau(inst, hi=1.0)
+            threshold_search(lambda t: solve_lpc(inst, t), 1.0)
+
+    def test_feasibility_is_not_monotone(self):
+        # past tau = 1, request 0's value 1 leaves the exceptional row for
+        # the truncated row, which then carries 1/2 + 9/10
+        coin = DiscreteDistribution([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+        inst = ConfigInstance(
+            1,
+            [
+                Request(0, [Configuration([1], coin)]),
+                Request(1, [Configuration([1], point_mass(Fraction(9, 10)))]),
+            ],
+        )
+        assert not isinstance(solve_lpc(inst, 0.95), Infeasible)
+        assert isinstance(solve_lpc(inst, 1.2), Infeasible)
+        assert not isinstance(solve_lpc(inst, 1.4), Infeasible)
+        assert min_feasible_tau(inst)[0] == pytest.approx(1.4, rel=1e-3)
 
     def test_monotone_feasibility(self):
         for inst in tiny_suite("config", 8, seed=602):
@@ -208,35 +223,17 @@ class TestMinFeasibleTau:
         assert not isinstance(solve_lpc(inst, float(2 * value)), Infeasible)
 
 
-class TestSeparationOracle:
-    def test_zero_point_feasible(self):
-        r = triangle()
-        point = DualPoint([0.0], [0.0, 0.0, 0.0], 0.0)
-        assert separation_oracle_dp(r, 3.0, point) == FEASIBLE
-
-    def test_negative_b_rejected(self):
-        r = triangle()
-        point = DualPoint([0.0], [0.0, -1.0, 0.0], 0.0)
-        verdict = separation_oracle_dp(r, 3.0, point)
-        assert verdict.kind == "nonneg_b"
-
-    def test_negative_c_rejected(self):
-        r = triangle()
-        point = DualPoint([0.0], [0.0, 0.0, 0.0], -0.5)
-        assert separation_oracle_dp(r, 3.0, point).kind == "nonneg_c"
-
-    def test_negative_a_violated_by_any_path(self):
-        r = triangle()
-        point = DualPoint([-1.0], [0.0, 0.0, 0.0], 0.0)
-        verdict = separation_oracle_dp(r, 3.0, point)
-        assert verdict.kind == "path"
-        assert verdict.request == 0
-        assert verdict.value == pytest.approx(-1.0)
-
-    def test_feasible_point_with_positive_duals(self):
-        r = triangle()
-        point = DualPoint([1.0], [0.1, 0.1, 0.1], 0.2)
-        assert separation_oracle_dp(r, 3.0, point) == FEASIBLE
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(["config", "unrelated", "related"]),
+    st.integers(0, 10**6),
+    st.sampled_from([1, Fraction(1001, 1000), Fraction(3, 2), 2, 10]),
+)
+def test_lpc_feasible_from_twice_optimum(kind, seed, factor):
+    # what backs lp-check's certificate: infeasible at t means E[OPT] > t / 2
+    inst = to_config_instance(random_tiny_instance(kind, tiny_rng(seed)))
+    opt, _ = optimal_adaptive(inst)
+    assert not isinstance(solve_lpc(inst, float(2 * opt * factor)), Infeasible)
 
 
 class TestColumnGeneration:
@@ -249,7 +246,7 @@ class TestColumnGeneration:
     def test_triangle_both_columns_feasible(self):
         sol = solve_lpp_column_generation(triangle(), 3.0)
         assert not isinstance(sol, Infeasible)
-        assert sol.weight_sum(0) == pytest.approx(1.0, abs=1e-9)
+        assert sum(w for _, w in sol[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_triangle_infeasible_small_tau(self):
         assert isinstance(solve_lpp_column_generation(triangle(), 0.9), Infeasible)
@@ -302,8 +299,6 @@ class TestOneAdmissibilityRule:
         assert routing_to_config(r, tau)[0].edge_ids == (0,)
         path, _, _ = online_route_step(r, PotentialState.fresh(1, tau / 2), 0)
         assert path == (0,)
-        verdict = separation_oracle_dp(r, tau, DualPoint([-1.0], [0.0], 0.0))
-        assert verdict.kind == "path" and verdict.path == (0,)
         assert not isinstance(solve_lpp_column_generation(r, tau), Infeasible)
 
 

@@ -12,7 +12,6 @@ from cfgbal.instances import (
     RoutingInstance,
     gen_adaptivity_gap_instance,
 )
-from cfgbal.lp import FractionalSolution
 from cfgbal.offline import (
     GroupListSchedulePolicy,
     assignment_loads,
@@ -35,12 +34,12 @@ def triangle(demand=None):
 
 class TestRandomizedRound:
     def test_degenerate_weight(self):
-        sol = FractionalSolution({0: [(0, 0.0), (1, 1.0)]})
+        sol = {0: [(0, 0.0), (1, 1.0)]}
         rng = tiny_rng(0)
         assert all(randomized_round(sol, rng)[0] == 1 for _ in range(10))
 
     def test_split_frequencies(self):
-        sol = FractionalSolution({0: [(0, 0.5), (1, 0.5)]})
+        sol = {0: [(0, 0.5), (1, 0.5)]}
         rng = tiny_rng(17)
         picks = [randomized_round(sol, rng)[0] for _ in range(100_000)]
         share = sum(picks) / len(picks)
@@ -58,7 +57,7 @@ class TestRandomizedRound:
                 )
             ],
         )
-        sol = FractionalSolution({0: [(0, 0.25), (1, 0.75)]})
+        sol = {0: [(0, 0.25), (1, 0.75)]}
         rng = tiny_rng(3)
         acc = np.zeros(2)
         trials = 40_000

@@ -2,10 +2,11 @@
 reference_phase1): the same CSC matrix, costs and row bounds reach HiGHS,
 and x, the objective, both blocks of row duals and the iteration count come
 back bit for bit, on LP_C builds, column-generation masters and small random
-programs. Non-finite input, a failed model and a solution that breaks a row
-raise NumericalFailure."""
+programs. Non-finite input, a coefficient past HiGHS's limit, a failed model
+and a solution that breaks a row raise NumericalFailure."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -152,9 +153,25 @@ def test_non_finite_input_is_refused(monkeypatch, args):
 
 
 def test_model_error_is_a_numerical_failure():
-    # HiGHS refuses matrix values above its large_matrix_value (1e15)
+    # HiGHS refuses matrix values at or above its large_matrix_value (1e15);
+    # phase1_model refuses them first, so this model is doctored after it
+    model = phase1_model(1, [0], [0], [1.0], [], [1.0])
+    model.a_matrix_.value_ = [1e300, 1.0]
     with pytest.raises(NumericalFailure, match="Model error"):
-        phase1(1, [0], [0], [1e300], [], [1.0])
+        lp.linprog(model)
+
+
+@pytest.mark.parametrize("value", [1e15, -1e16, 1e300])
+def test_coefficient_past_the_solver_limit_is_refused(monkeypatch, value):
+    def unreachable(model):
+        raise AssertionError("HiGHS saw a coefficient past its limit")
+
+    monkeypatch.setattr(lp, "linprog", unreachable)
+    message = f"magnitude {abs(value):g} is at or above the solver's limit 1e+15"
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        phase1(1, [0], [0], [value], [], [1.0])
+    monkeypatch.undo()
+    assert phase1(1, [0], [0], [9.999999999999999e14], [], [1.0]).fun == 0.0
 
 
 @pytest.mark.parametrize(

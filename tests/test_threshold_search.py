@@ -18,11 +18,9 @@ from cfgbal.instances import (
     RoutingRequestView,
     unrelated_to_config,
 )
-from cfgbal.lp import FEAS_TOL, build_lpc, min_feasible_tau, min_feasible_tau_routing
+from cfgbal.lp import EPS, FEAS_TOL, build_lpc, min_feasible_tau, min_feasible_tau_routing
 
 from conftest import random_dag_routing, tiny_rng, tiny_suite
-
-EPS = 1e-3
 
 
 def count_calls(monkeypatch, name):
@@ -50,10 +48,10 @@ class TestNoResolve:
         calls = count_calls(monkeypatch, "solve_lpc")
         for inst in tiny_suite("config", 6, seed=701):
             del calls[:]
-            tau, _ = min_feasible_tau(inst, eps=EPS)
+            tau, _ = min_feasible_tau(inst)
             searched = len(calls)
             del calls[:]
-            report = offline.offline_config_balancing(inst, tiny_rng(0), eps=EPS)
+            report = offline.offline_config_balancing(inst, tiny_rng(0))
             assert report.tau == tau
             assert len(calls) == searched
 
@@ -61,10 +59,10 @@ class TestNoResolve:
         calls = count_calls(monkeypatch, "solve_lpp_column_generation")
         for r in dags(6):
             del calls[:]
-            tau, _ = min_feasible_tau_routing(r, eps=EPS)
+            tau, _ = min_feasible_tau_routing(r)
             searched = len(calls)
             del calls[:]
-            report = offline.offline_routing(r, tiny_rng(0), eps=EPS)
+            report = offline.offline_routing(r, tiny_rng(0))
             assert report.tau == tau
             assert len(calls) == searched
 
@@ -73,7 +71,7 @@ class TestSearchSolution:
     def test_lpc_solution_feasible_at_tau(self):
         unrelated = [unrelated_to_config(u) for u in tiny_suite("unrelated", 6, seed=703)]
         for inst in tiny_suite("config", 10, seed=702) + unrelated:
-            tau, sol = min_feasible_tau(inst, eps=EPS)
+            tau, sol = min_feasible_tau(inst)
             if tau == 0:
                 assert sol is None
                 continue
@@ -82,18 +80,18 @@ class TestSearchSolution:
             for k, (j, c) in enumerate(var_map):
                 x[k] = dict(sol[j])[c]
             for j in range(inst.n):
-                assert sol.weight_sum(j) == pytest.approx(1.0, abs=1e-8)
+                assert sum(w for _, w in sol[j]) == pytest.approx(1.0, abs=1e-8)
             for coeffs, sense, rhs, name in program.rows:
                 if sense == "<=":
                     assert sum(v * x[k] for k, v in coeffs.items()) <= tau + FEAS_TOL, name
 
     def test_path_solution_feasible_at_tau(self):
         for r in dags(8):
-            tau, sol = min_feasible_tau_routing(r, eps=EPS)
+            tau, sol = min_feasible_tau_routing(r)
             loads = [0.0] * r.m
             exc = 0.0
             for j, entries in sol.items():
-                assert sol.weight_sum(j) == pytest.approx(1.0, abs=1e-8)
+                assert sum(w for _, w in sol[j]) == pytest.approx(1.0, abs=1e-8)
                 view = RoutingRequestView(r, j, tau)
                 for path, w in entries:
                     exc += w * view.exceptional(path)
@@ -126,6 +124,6 @@ def parallel_edges(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_path_lp_matches_lpc_on_parallel_edges(seed):
     routing, config = parallel_edges(seed)
-    tau_path, _ = min_feasible_tau_routing(routing, eps=EPS)
-    tau_config, _ = min_feasible_tau(config, eps=EPS)
+    tau_path, _ = min_feasible_tau_routing(routing)
+    tau_config, _ = min_feasible_tau(config)
     assert tau_path == pytest.approx(tau_config, rel=2 * EPS)
