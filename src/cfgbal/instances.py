@@ -10,9 +10,12 @@ perfectly correlated) and makes E[max_i X_i^E] a one-dimensional quantity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from numbers import Rational
+
+import numpy as np
 
 from .distributions import (
     EXACT_TYPES,
@@ -162,10 +165,17 @@ class ConfigInstance:
         if len({r.id for r in reqs}) != len(reqs):
             raise ValidationError("request ids are not unique")
         self.requests = reqs
+        self._tail_table = None
 
     @property
     def n(self):
         return len(self.requests)
+
+    def tail_table(self):
+        """This instance's TailTable, built on the first call."""
+        if self._tail_table is None:
+            self._tail_table = TailTable(self)
+        return self._tail_table
 
     def exact(self):
         """This instance in exact numbers; itself when it already is."""
@@ -183,6 +193,90 @@ class ConfigInstance:
 
     def __repr__(self):
         return f"ConfigInstance(m={self.m}, n={self.n})"
+
+
+class TailTable:
+    """What LP_C needs of a ConfigInstance at every threshold, computed
+    once, so that lp.build_lpc only looks values up.
+
+    Configurations are numbered in request order: choices[k] = (j, c),
+    emax[k] = float(E[max_i X_i(c)]), and request_start[j] numbers request
+    j's first configuration.
+
+    A pair is a distinct (law, multiplier a) that some configuration prices
+    with: a nonzero multiplier or a nonzero largest multiplier, keyed by the
+    law object and by a's type and value, like Configuration.tails. Pair p
+    has breakpoints[p], the nonzero scaled support values x = v * a in the
+    law's own number types (ascending, since a > 0 keeps the order;
+    underflow can make two equal, and a zero can split no tau > 0), and
+    from position start[p] of truncated and exceptional the kernel's values
+    as floats at each breakpoint and then at +inf. For tau > 0 and
+    s = bisect_left(breakpoints[p], tau), the breakpoints below tau are
+    exactly the first s, so the kernel sums the same terms in the same
+    order at tau as at the s-th point: the stored value is the kernel's
+    value at tau, bit for bit.
+
+    LP_C's coefficients are entries: configuration entry_config[e] in row
+    entry_row[e] (request j is row j, resource i row n + i, the exceptional
+    row n + m) with value entry_value[e], an index into
+    [*truncated at tau, *exceptional at tau, 1.0] over the pairs. Each
+    configuration lists its request row, the truncated row of every nonzero
+    multiplier and, if its largest multiplier is nonzero, the exceptional
+    row.
+    """
+
+    def __init__(self, inst):
+        n, m = inst.n, inst.m
+        index = {}
+        self.pairs, self.breakpoints = [], []
+        start, truncated, exceptional = [], [], []
+
+        def pair(law, a):
+            key = (id(law), a.__class__, a)
+            p = index.get(key)
+            if p is None:
+                p = index[key] = len(self.pairs)
+                self.pairs.append((law, a))
+                points = [x for v, _ in law.support if (x := v * a)]
+                self.breakpoints.append(points)
+                start.append(len(truncated))
+                for x in points + [math.inf]:
+                    truncated.append(float(law.truncated_mean(x, a)))
+                    exceptional.append(float(law.exceptional_mean(x, a)))
+            return p
+
+        self.choices, emax, request_start = [], [], []
+        entries = []  # (configuration, row, kind, pair); kind 0 truncated, 1 exceptional, 2 request
+        for j, req in enumerate(inst.requests):
+            request_start.append(len(emax))
+            for c, config in enumerate(req.configs):
+                k = len(emax)
+                self.choices.append((j, c))
+                emax.append(float(config.expected_max()))
+                law, mults = config.law, config.multipliers
+                entries.append((k, j, 2, 0))
+                entries += [(k, n + i, 0, pair(law, mults[i])) for i in config._nonzero]
+                if config.max_multiplier:
+                    entries.append((k, n + m, 1, pair(law, config.max_multiplier)))
+        self.emax = np.array(emax, dtype=float)
+        self.request_start = np.array(request_start, dtype=np.intp)
+        self.start = np.array(start, dtype=np.intp)
+        self.truncated = np.array(truncated, dtype=float)
+        self.exceptional = np.array(exceptional, dtype=float)
+        config, row, kind, p = np.array(entries, dtype=np.intp).reshape(-1, 4).T
+        self.entry_config, self.entry_row = config, row
+        self.entry_value = kind * len(self.pairs) + p
+        self.row_names = [f"req_{j}" for j in range(n)] + [f"trunc_{i}" for i in range(m)] + ["exc"]
+
+    def tails_at(self, tau):
+        """(truncated, exceptional) at tau > 0: float arrays over the
+        pairs, equal to float(law.truncated_mean(tau, a)) and
+        float(law.exceptional_mean(tau, a))."""
+        splits = np.fromiter(
+            map(bisect_left, self.breakpoints, repeat(tau)), dtype=np.intp, count=len(self.breakpoints)
+        )
+        at = self.start + splits
+        return self.truncated[at], self.exceptional[at]
 
 
 class UnrelatedInstance:

@@ -9,16 +9,26 @@ and hands it to HiGHS through scipy's bundled bindings
 (scipy.optimize._highspy._core) under the options scipy's linprog sets for
 method="highs"; the dual simplex is deterministic for a fixed input. phase1
 keeps linprog's checks: finite input, an optimal model status, and a
-solution within linprog's residual tolerance. Both LPs share one threshold
-search, which returns the solution {request: [(choice, weight)]} it found
-at the threshold it returns, so the offline drivers round that solution
-without solving again. Its last infeasible midpoint is at least
-tau * (1 - EPS) and certifies E[OPT] > tau * (1 - EPS) / 2.
+solution within linprog's residual tolerance.
+
+LP_C's tau-independent data (each configuration's E[max], and the tail
+kernel's values at the breakpoints of each (law, multiplier) pair) is built
+once per instance, as instances.TailTable. Each build_lpc call then prunes
+by one array comparison, finds each pair's coefficients by one bisect_left,
+and hands phase1 coordinate entries; LinearProgram derives dict rows only
+when they are read.
+
+Both LPs share one threshold search, which returns the solution
+{request: [(choice, weight)]} it found at the threshold it returns, so the
+offline drivers round that solution without solving again. Its last
+infeasible midpoint is at least tau * (1 - EPS) and certifies
+E[OPT] > tau * (1 - EPS) / 2.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
@@ -65,22 +75,40 @@ class Infeasible:
 
 
 class LinearProgram:
-    """Feasibility LP: named variables, sparse rows with sense <= or =."""
+    """Feasibility LP over n_vars variables x >= 0. Row r has sense
+    senses[r] ("<=" or "="), right-hand side rhs[r] and name names[r]; the
+    coefficients are coordinate entries (row[k], col[k], val[k]), no
+    position twice. .rows derives the (coeffs dict col -> val, sense, rhs,
+    name) tuples, each dict in entry order, when read."""
 
-    def __init__(self, var_names):
-        self.var_names = list(var_names)
-        self.rows = []  # (coeffs dict var_index -> float, sense, rhs, name)
-
-    @property
-    def n_vars(self):
-        return len(self.var_names)
+    def __init__(self, n_vars, senses=(), rhs=(), names=(), row=(), col=(), val=()):
+        self.n_vars = n_vars
+        self.senses, self.rhs, self.names = list(senses), list(rhs), list(names)
+        self.row = np.asarray(row, dtype=np.intp)
+        self.col = np.asarray(col, dtype=np.intp)
+        self.val = np.asarray(val, dtype=float)
 
     def add_row(self, coeffs, sense, rhs, name):
         if sense not in ("<=", "="):
             raise ValueError(f"bad sense {sense}")
-        if coeffs and not (0 <= min(coeffs) and max(coeffs) < len(self.var_names)):
+        if coeffs and not (0 <= min(coeffs) and max(coeffs) < self.n_vars):
             raise ValueError(f"row {name}: coefficient on an unknown variable")
-        self.rows.append((dict(coeffs), sense, float(rhs), name))
+        self.row = np.concatenate((self.row, np.full(len(coeffs), len(self.senses), dtype=np.intp)))
+        self.col = np.concatenate((self.col, np.fromiter(coeffs, dtype=np.intp, count=len(coeffs))))
+        self.val = np.concatenate((self.val, np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))))
+        self.senses.append(sense)
+        self.rhs.append(float(rhs))
+        self.names.append(name)
+
+    @property
+    def rows(self):
+        order = np.argsort(self.row, kind="stable")
+        bounds = np.searchsorted(self.row[order], np.arange(len(self.senses) + 1)).tolist()
+        col, val = self.col[order].tolist(), self.val[order].tolist()
+        return [
+            (dict(zip(col[a:b], val[a:b])), sense, rhs, name)
+            for a, b, sense, rhs, name in zip(bounds, bounds[1:], self.senses, self.rhs, self.names)
+        ]
 
 
 # what phase 1 reads back from HiGHS: x = col_value, fun = the objective
@@ -179,18 +207,12 @@ def phase1(n, row, col, val, b_ub, b_eq):
 def solve_feasibility(lp):
     """Phase-1 feasibility: a point satisfying all rows within FEAS_TOL, or
     an Infeasible verdict."""
-    eq, ub = [], []
-    for coeffs, sense, rhs, _ in lp.rows:
-        (eq if sense == "=" else ub).append((coeffs, rhs))
-    rows = ub + eq
-    res = phase1(
-        lp.n_vars,
-        [i for i, (coeffs, _) in enumerate(rows) for _ in coeffs],
-        [k for coeffs, _ in rows for k in coeffs],
-        [v for coeffs, _ in rows for v in coeffs.values()],
-        [rhs for _, rhs in ub],
-        [rhs for _, rhs in eq],
-    )
+    eq = np.array([sense == "=" for sense in lp.senses], dtype=bool)
+    rhs = np.array(lp.rhs, dtype=float)
+    # phase 1 numbers the <= rows first, then the = rows
+    position = np.empty(len(eq), dtype=np.intp)
+    position[np.argsort(eq, kind="stable")] = np.arange(len(eq))
+    res = phase1(lp.n_vars, position[lp.row], lp.col, lp.val, rhs[~eq], rhs[eq])
     if res.fun > FEAS_TOL:
         return Infeasible(f"phase-1 violation {res.fun:.3e}")
     return np.clip(res.x[: lp.n_vars], 0.0, None)
@@ -206,37 +228,21 @@ def build_lpc(inst, tau):
     E[max_i X_i(c)] > tau are pruned (excluded, so their weight is exactly
     zero). Returns (LinearProgram, var_map) with var_map[k] = (j, c).
 
-    One pass over the configurations fills every row; a configuration
-    touches only the rows of its nonzero multipliers."""
+    Every coefficient is looked up in the instance's TailTable; zero
+    coefficients are left out."""
     check_tau(tau)
     t = float(tau)
-    var_map = []
-    names = []
-    req_rows = [{} for _ in inst.requests]
-    trunc_rows = [{} for _ in range(inst.m)]
-    exc_row = {}
-    for j, req in enumerate(inst.requests):
-        for c, config in enumerate(req.configs):
-            if float(config.expected_max()) > t:
-                continue
-            k = len(var_map)
-            var_map.append((j, c))
-            names.append(f"y_{j}_{c}")
-            req_rows[j][k] = 1.0
-            exceptional, truncated = config.tails(tau)
-            for i, v in truncated:
-                v = float(v)
-                if v:
-                    trunc_rows[i][k] = v
-            v = float(exceptional)
-            if v:
-                exc_row[k] = v
-    lp = LinearProgram(names)
-    for j, coeffs in enumerate(req_rows):
-        lp.add_row(coeffs, "=", 1.0, f"req_{j}")
-    for i, coeffs in enumerate(trunc_rows):
-        lp.add_row(coeffs, "<=", t, f"trunc_{i}")
-    lp.add_row(exc_row, "<=", t, "exc")
+    table = inst.tail_table()
+    value = np.concatenate((*table.tails_at(tau), [1.0]))[table.entry_value]
+    kept = ~(table.emax > t)
+    keep = kept[table.entry_config] & (value != 0)
+    col = np.cumsum(kept)[table.entry_config[keep]] - 1
+    var_map = list(compress(table.choices, kept.tolist()))
+    n, m = inst.n, inst.m
+    lp = LinearProgram(
+        len(var_map), ["="] * n + ["<="] * (m + 1), [1.0] * n + [t] * (m + 1), table.row_names,
+        table.entry_row[keep], col, value[keep],
+    )
     return lp, var_map
 
 
@@ -246,15 +252,15 @@ def solve_lpc(inst, tau):
     Infeasible."""
     lp, var_map = build_lpc(inst, tau)
     present = {j for j, _ in var_map}
-    for j in range(inst.n):
+    for j, req in enumerate(inst.requests):
         if j not in present:
-            return Infeasible(f"request {j}: all configurations pruned at tau={tau}")
+            return Infeasible(f"request {req.id}: all configurations pruned at tau={tau}")
     x = solve_feasibility(lp)
     if isinstance(x, Infeasible):
         return x
     weights = {j: [] for j in range(inst.n)}
-    for k, (j, c) in enumerate(var_map):
-        weights[j].append((c, float(x[k])))
+    for (j, c), w in zip(var_map, x.tolist()):
+        weights[j].append((c, w))
     return weights
 
 
@@ -286,10 +292,8 @@ def min_feasible_tau(inst):
     request's cheapest E[max], where LP_C is feasible. LP_C is feasible at
     every tau >= 2 E[OPT] but not monotone in tau: past a support value
     a * v, mass leaves the exceptional row for a truncated row."""
-    hi = sum(
-        float(min(c.expected_max() for c in req.configs))
-        for req in inst.requests
-    )
+    table = inst.tail_table()
+    hi = sum(np.minimum.reduceat(table.emax, table.request_start).tolist())
     return threshold_search(lambda t: solve_lpc(inst, t), float(hi))
 
 

@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from cfgbal.distributions import PROB_SUM_TOL, DiscreteDistribution, ValidationError
+from cfgbal.distributions import PROB_SUM_TOL, DiscreteDistribution, ValidationError, check_tau
 from cfgbal.graphs import path_key
 from cfgbal.instance_io import ParseError
 from cfgbal.instances import (
@@ -88,8 +88,7 @@ def full_path_lp(r, tau):
     for j, view in enumerate(views):
         for path in view.paths():
             columns.append((j, path))
-    names = [f"y_{j}_{'_'.join(map(str, path))}" for j, path in columns]
-    lp = LinearProgram(names)
+    lp = LinearProgram(len(columns))
     for j in range(r.n):
         lp.add_row(
             {k: 1.0 for k, (jj, _) in enumerate(columns) if jj == j},
@@ -116,6 +115,56 @@ def full_path_lp(r, tau):
     if isinstance(x, Infeasible):
         return x
     return {(j, path): x[k] for k, (j, path) in enumerate(columns)}
+
+
+def reference_build_lpc(inst, tau):
+    """LP_C at tau as cfgbal.lp.build_lpc built it before the tail table:
+    every configuration priced through Configuration.tails at tau, one dict
+    per row. Returns (LinearProgram, var_map)."""
+    check_tau(tau)
+    t = float(tau)
+    var_map = []
+    req_rows = [{} for _ in inst.requests]
+    trunc_rows = [{} for _ in range(inst.m)]
+    exc_row = {}
+    for j, req in enumerate(inst.requests):
+        for c, config in enumerate(req.configs):
+            if float(config.expected_max()) > t:
+                continue
+            k = len(var_map)
+            var_map.append((j, c))
+            req_rows[j][k] = 1.0
+            exceptional, truncated = config.tails(tau)
+            for i, v in truncated:
+                v = float(v)
+                if v:
+                    trunc_rows[i][k] = v
+            v = float(exceptional)
+            if v:
+                exc_row[k] = v
+    lp = LinearProgram(len(var_map))
+    for j, coeffs in enumerate(req_rows):
+        lp.add_row(coeffs, "=", 1.0, f"req_{j}")
+    for i, coeffs in enumerate(trunc_rows):
+        lp.add_row(coeffs, "<=", t, f"trunc_{i}")
+    lp.add_row(exc_row, "<=", t, "exc")
+    return lp, var_map
+
+
+def reference_solve_lpc(inst, tau):
+    """cfgbal.lp.solve_lpc over reference_build_lpc."""
+    lp, var_map = reference_build_lpc(inst, tau)
+    present = {j for j, _ in var_map}
+    for j in range(inst.n):
+        if j not in present:
+            return Infeasible(f"request {inst.requests[j].id}: all configurations pruned at tau={tau}")
+    x = solve_feasibility(lp)
+    if isinstance(x, Infeasible):
+        return x
+    weights = {j: [] for j in range(inst.n)}
+    for k, (j, c) in enumerate(var_map):
+        weights[j].append((c, float(x[k])))
+    return weights
 
 
 def reference_phase1(a_eq, b_eq, a_ub, b_ub):

@@ -123,6 +123,19 @@ class TestVerdictsAndErrors:
         assert run_cli("lp-check", "--in", str(src), "--tau", "2") == 0
         assert capsys.readouterr().out == "LP_C feasible at tau=2.0\n"
 
+    def test_lp_check_names_pruned_request_by_id(self, tmp_path, capsys):
+        src = tmp_path / "ids.json"
+        src.write_text(
+            '{"kind": "config", "m": 1, "requests": ['
+            '{"id": 7, "configs": [{"multipliers": [1], "law": [[2, 1]]}]}, '
+            '{"id": 3, "configs": [{"multipliers": [1], "law": [[5, 1]]}]}]}'
+        )
+        assert run_cli("lp-check", "--in", str(src), "--tau", "3") == 2
+        assert capsys.readouterr().out == (
+            "LP_C infeasible at tau=3.0: request 3: all configurations pruned at tau=3.0\n"
+            "certificate: E[OPT] > 1.5\n"
+        )
+
     def test_zero_demand_routing_exits_1(self, tmp_path, capsys):
         src = tmp_path / "zero.json"
         write_instance(RoutingInstance(2, [(0, 1, 1)], [(0, 1, point_mass(0))]), src)

@@ -43,12 +43,12 @@ def one_request(law, tau_feasible):
 
 class TestSolveFeasibility:
     def test_empty_constraints(self):
-        lp = LinearProgram(["x"])
+        lp = LinearProgram(1)
         x = solve_feasibility(lp)
         assert not isinstance(x, Infeasible)
 
     def test_contradictory(self):
-        lp = LinearProgram(["x"])
+        lp = LinearProgram(1)
         lp.add_row({0: 1.0}, "=", 1.0, "one")
         lp.add_row({0: 1.0}, "<=", 0.5, "cap")
         assert isinstance(solve_feasibility(lp), Infeasible)
@@ -58,7 +58,7 @@ class TestSolveFeasibility:
         [({2: 1.0}, "<="), ({-1: 1.0}, "="), ({0: 1.0, 5: 1.0}, "<="), ({0: 1.0}, ">=")],
     )
     def test_add_row_refuses_unknown_variable_or_sense(self, coeffs, sense):
-        lp = LinearProgram(["x", "y"])
+        lp = LinearProgram(2)
         with pytest.raises(ValueError):
             lp.add_row(coeffs, sense, 1.0, "bad")
         assert lp.rows == []
