@@ -23,6 +23,14 @@ Both LPs share one threshold search, which returns the solution
 offline drivers round that solution without solving again. Its last
 infeasible midpoint is at least tau * (1 - EPS) and certifies
 E[OPT] > tau * (1 - EPS) / 2.
+
+LP_C's search runs all its steps on one HiGHS model (_LpcSession), which
+each step updates where it changed and re-runs from the last basis; it
+gives each step's verdict and is closed with the search. One fresh
+solve_lpc at the returned tau gives the returned solution, so reports are
+those of a fresh search, and confirms the verdict that ended the search;
+a contradiction raises NumericalFailure. check_phase1_input and
+accept_phase1 hold on both paths.
 """
 
 from __future__ import annotations
@@ -117,15 +125,18 @@ class LinearProgram:
 HighsSolution = namedtuple("HighsSolution", "x fun row_value row_dual nit")
 
 
-def linprog(model):
+def linprog(model, solver=None):
     """The one HiGHS call, timed under this name by perfbench's tracer:
-    solve a column-wise HighsLp under _OPTIONS. A model status other than
+    pass a column-wise HighsLp to solver (a new _Highs under _OPTIONS when
+    None) and run it, or, with model None, re-run solver on the model it
+    holds, from the basis its last run left. A model status other than
     optimal (or empty, for a model without columns) means HiGHS gave up:
     NumericalFailure."""
-    solver = highs._Highs()
-    solver.passOptions(_OPTIONS)
+    if solver is None:
+        solver = highs._Highs()
+        solver.passOptions(_OPTIONS)
     status = highs.HighsModelStatus.kModelError
-    if solver.passModel(model) != highs.HighsStatus.kError:
+    if model is None or solver.passModel(model) != highs.HighsStatus.kError:
         solver.run()
         status = solver.getModelStatus()
     if status not in (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kModelEmpty):
@@ -140,18 +151,9 @@ def linprog(model):
     )
 
 
-def phase1_model(n, row, col, val, b_ub, b_eq):
-    """The column-wise phase-1 HighsLp: minimize the total violation of
-    A_ub x <= b_ub, A_eq x = b_eq over x >= 0. The structural matrix comes
-    as coordinate entries (row[i], col[i], val[i]), no position twice, with
-    rows numbered over the <= rows and then the = rows. Artificial columns
-    follow the n structural ones: one per = row (signed like its right-hand
-    side), then one per <= row with a negative right-hand side. Zero entries
-    are dropped and row indices ascend within a column. A non-finite
-    coefficient or right-hand side, or a coefficient at or above HiGHS's
-    large_matrix_value in magnitude, raises NumericalFailure."""
-    val = np.asarray(val, dtype=float)
-    b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
+def check_phase1_input(val, b_ub, b_eq):
+    """A non-finite coefficient or right-hand side, or a coefficient at or
+    above HiGHS's large_matrix_value in magnitude, raises NumericalFailure."""
     if not (np.isfinite(val).all() and np.isfinite(b_ub).all() and np.isfinite(b_eq).all()):
         raise NumericalFailure("phase-1 input has a non-finite coefficient or right-hand side")
     largest, limit = np.abs(val).max(initial=0.0), _OPTIONS.large_matrix_value
@@ -159,6 +161,20 @@ def phase1_model(n, row, col, val, b_ub, b_eq):
         raise NumericalFailure(
             f"phase-1 coefficient of magnitude {largest:g} is at or above the solver's limit {limit:g}"
         )
+
+
+def phase1_model(n, row, col, val, b_ub, b_eq):
+    """The column-wise phase-1 HighsLp: minimize the total violation of
+    A_ub x <= b_ub, A_eq x = b_eq over x >= 0. The structural matrix comes
+    as coordinate entries (row[i], col[i], val[i]), no position twice, with
+    rows numbered over the <= rows and then the = rows. Artificial columns
+    follow the n structural ones: one per = row (signed like its right-hand
+    side), then one per <= row with a negative right-hand side. Zero entries
+    are dropped and row indices ascend within a column. The input goes
+    through check_phase1_input first."""
+    val = np.asarray(val, dtype=float)
+    b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
+    check_phase1_input(val, b_ub, b_eq)
     n_ub, n_eq = len(b_ub), len(b_eq)
     neg = np.flatnonzero(b_ub < 0)
     n_cols = n + n_eq + len(neg)
@@ -186,12 +202,16 @@ def phase1_model(n, row, col, val, b_ub, b_eq):
 
 def phase1(n, row, col, val, b_ub, b_eq):
     """Solve phase1_model and return the HighsSolution over [x,
-    artificials]. Phase 1 is always feasible and bounded, so a solution
-    that breaks linprog's acceptance rule (a NaN, x < -tol, a <= row over
-    its bound by more than tol, an = row off by more than tol, with
-    tol = 10 * sqrt(1e-9)) means HiGHS gave up: NumericalFailure."""
+    artificials], checked by accept_phase1."""
     b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
-    res = linprog(phase1_model(n, row, col, val, b_ub, b_eq))
+    return accept_phase1(linprog(phase1_model(n, row, col, val, b_ub, b_eq)), b_ub, b_eq)
+
+
+def accept_phase1(res, b_ub, b_eq):
+    """res, if it keeps linprog's acceptance rule. Phase 1 is always
+    feasible and bounded, so a solution that breaks it (a NaN, x < -tol, a
+    <= row over its bound by more than tol, an = row off by more than tol,
+    with tol = 10 * sqrt(1e-9)) means HiGHS gave up: NumericalFailure."""
     slack = b_ub - res.row_value[: len(b_ub)]
     residual = np.abs(b_eq - res.row_value[len(b_ub):])
     if not (
@@ -222,6 +242,11 @@ def solve_feasibility(lp):
 # configuration-balancing LP
 
 
+def _unpruned(table, t):
+    """LP_C's configurations at float threshold t: E[max] <= t."""
+    return ~(table.emax > t)
+
+
 def build_lpc(inst, tau):
     """LP_C at threshold tau: per-request convex weights, per-resource
     truncated rows, one total-exceptional row; configurations with
@@ -234,7 +259,7 @@ def build_lpc(inst, tau):
     t = float(tau)
     table = inst.tail_table()
     value = np.concatenate((*table.tails_at(tau), [1.0]))[table.entry_value]
-    kept = ~(table.emax > t)
+    kept = _unpruned(table, t)
     keep = kept[table.entry_config] & (value != 0)
     col = np.cumsum(kept)[table.entry_config[keep]] - 1
     var_map = list(compress(table.choices, kept.tolist()))
@@ -246,15 +271,19 @@ def build_lpc(inst, tau):
     return lp, var_map
 
 
-def solve_lpc(inst, tau):
+def solve_lpc(inst, tau, session=None):
     """Solve LP_C: {request: [(configuration, weight)]} over the configurations
     not pruned at tau (a pruned one has weight exactly zero), or
-    Infeasible."""
+    Infeasible. With a session (min_feasible_tau's _LpcSession), the step
+    updates and re-runs the session's model instead of solving a new one,
+    and returns only its verdict: True or Infeasible."""
     lp, var_map = build_lpc(inst, tau)
     present = {j for j, _ in var_map}
     for j, req in enumerate(inst.requests):
         if j not in present:
             return Infeasible(f"request {req.id}: all configurations pruned at tau={tau}")
+    if session is not None:
+        return session.verdict(lp, float(tau))
     x = solve_feasibility(lp)
     if isinstance(x, Infeasible):
         return x
@@ -262,6 +291,79 @@ def solve_lpc(inst, tau):
     for (j, c), w in zip(var_map, x.tolist()):
         weights[j].append((c, w))
     return weights
+
+
+class _LpcSession:
+    """LP_C's phase 1 for one threshold search, as one HiGHS model that each
+    step updates and re-runs from the basis the last run left (a dual
+    simplex warm start). Its columns are every configuration of the
+    instance in the tail table's order, then one artificial per request
+    row; its rows are phase 1's: the m + 1 <= rows, then the n request
+    rows. The first step opens a _Highs with phase1_model's model, the
+    pruned configurations bounded to [0, 0]. A later step writes only what
+    changed: each unpruned configuration's coefficient whose value changed
+    (checked by check_phase1_input first; a zero deletes the entry), [0, 0]
+    on newly pruned configurations and [0, inf) on restored ones, and tau
+    on the <= rows. A pruned configuration keeps its last coefficients,
+    which its bounds make inert. close() drops the solver."""
+
+    def __init__(self, inst):
+        table = inst.tail_table()
+        self.n, self.m = inst.n, inst.m
+        self.table = table
+        self.config = table.entry_config
+        # phase 1 numbers the <= rows (truncated, then exceptional) first
+        self.row = np.concatenate((self.m + 1 + np.arange(self.n), np.arange(self.m + 1)))[table.entry_row]
+        # table entries sorted by (configuration, LP_C row): where each of
+        # build_lpc's entries sits in the table
+        self.width = self.n + self.m + 1
+        keys = table.entry_config * self.width + table.entry_row
+        self.by_key = np.argsort(keys)
+        self.keys = keys[self.by_key]
+        self.value = np.zeros(len(keys))  # each entry's coefficient in the model
+        self.kept = np.zeros(len(table.emax), dtype=bool)
+        self.solver = None
+
+    def close(self):
+        self.solver = None
+
+    def verdict(self, lp, t):
+        """solve_feasibility's verdict on build_lpc's lp at t, True or
+        Infeasible, from the session's model."""
+        kept = _unpruned(self.table, t)
+        cols = np.flatnonzero(kept)  # build_lpc's columns
+        entries = self.by_key[np.searchsorted(self.keys, cols[lp.col] * self.width + lp.row)]
+        value = np.where(kept[self.config], 0.0, self.value)
+        value[entries] = lp.val
+        b_ub, b_eq = np.full(self.m + 1, t), np.ones(self.n)
+        if self.solver is None:
+            model = phase1_model(len(kept), self.row[entries], cols[lp.col], lp.val, b_ub, b_eq)
+            model.col_upper_ = np.where(kept, np.inf, 0.0).tolist() + [np.inf] * self.n
+            self.solver = highs._Highs()
+            self.solver.passOptions(_OPTIONS)
+            res = linprog(model, self.solver)
+        else:
+            changed = np.flatnonzero(value != self.value)
+            check_phase1_input(value[changed], b_ub, b_eq)
+            rows, configs = self.row[changed].tolist(), self.config[changed].tolist()
+            for r, k, v in zip(rows, configs, value[changed].tolist()):
+                self.solver.changeCoeff(r, k, v)
+            flip = np.flatnonzero(kept != self.kept)
+            if len(flip):
+                upper = np.where(kept[flip], np.inf, 0.0)
+                self.solver.changeColsBounds(len(flip), flip.astype(np.int32), np.zeros(len(flip)), upper)
+            for r in range(self.m + 1):
+                self.solver.changeRowBounds(r, -np.inf, t)
+            res = linprog(None, self.solver)
+        self.value, self.kept = value, kept
+        res = accept_phase1(res, b_ub, b_eq)
+        if res.fun > FEAS_TOL:
+            return Infeasible(f"phase-1 violation {res.fun:.3e}")
+        return True
+
+
+def _no_feasible_tau(hi, verdict):
+    return NoFeasibleTau(f"LP infeasible at the upper bound tau={hi}: {verdict.reason}")
 
 
 def threshold_search(solve, hi):
@@ -275,7 +377,7 @@ def threshold_search(solve, hi):
         return 0.0, None
     sol = solve(hi)
     if isinstance(sol, Infeasible):
-        raise NoFeasibleTau(f"LP infeasible at the upper bound tau={hi}: {sol.reason}")
+        raise _no_feasible_tau(hi, sol)
     lo = 0.0
     while hi - lo > EPS * hi:
         mid = 0.5 * (lo + hi)
@@ -291,10 +393,32 @@ def min_feasible_tau(inst):
     """(tau, LP_C solution at tau) by threshold_search up to the sum of each
     request's cheapest E[max], where LP_C is feasible. LP_C is feasible at
     every tau >= 2 E[OPT] but not monotone in tau: past a support value
-    a * v, mass leaves the exceptional row for a truncated row."""
+    a * v, mass leaves the exceptional row for a truncated row.
+
+    The search's steps share one _LpcSession, which gives each verdict.
+    A fresh solve_lpc confirms the verdicts that end the search, infeasible
+    at hi or feasible at the returned tau, and gives the returned solution;
+    if it contradicts the session: NumericalFailure."""
     table = inst.tail_table()
-    hi = sum(np.minimum.reduceat(table.emax, table.request_start).tolist())
-    return threshold_search(lambda t: solve_lpc(inst, t), float(hi))
+    hi = float(sum(np.minimum.reduceat(table.emax, table.request_start).tolist()))
+    if hi <= 0:
+        return 0.0, None
+    session = _LpcSession(inst)
+    try:
+        tau, _ = threshold_search(lambda t: solve_lpc(inst, t, session), hi)
+    except NoFeasibleTau as exc:
+        fresh = solve_lpc(inst, hi)
+        if isinstance(fresh, Infeasible):
+            raise _no_feasible_tau(hi, fresh) from None
+        raise NumericalFailure(f"LP_C verdicts disagree: session: {exc}; fresh solve: feasible") from None
+    finally:
+        session.close()
+    sol = solve_lpc(inst, tau)
+    if isinstance(sol, Infeasible):
+        raise NumericalFailure(
+            f"LP_C verdicts disagree at tau={tau}: session: feasible; fresh solve: {sol.reason}"
+        )
+    return tau, sol
 
 
 # ---------------------------------------------------------------------------

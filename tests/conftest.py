@@ -27,6 +27,7 @@ from cfgbal.instances import (
     UnrelatedInstance,
     random_tiny_instance,
 )
+import cfgbal.lp
 from cfgbal.lp import LinearProgram, solve_feasibility, Infeasible
 from cfgbal.instances import routing_to_config, NoFeasiblePath
 from cfgbal.simulate import request_stream
@@ -165,6 +166,15 @@ def reference_solve_lpc(inst, tau):
     for k, (j, c) in enumerate(var_map):
         weights[j].append((c, float(x[k])))
     return weights
+
+
+def reference_min_feasible_tau(inst):
+    """cfgbal.lp.min_feasible_tau as it searched before the warm-started
+    session: a fresh solve_lpc at every step. It looks solve_lpc up in
+    cfgbal.lp at each call, so a test can wrap it there."""
+    table = inst.tail_table()
+    hi = sum(np.minimum.reduceat(table.emax, table.request_start).tolist())
+    return cfgbal.lp.threshold_search(lambda t: cfgbal.lp.solve_lpc(inst, t), float(hi))
 
 
 def reference_phase1(a_eq, b_eq, a_ub, b_ub):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from cfgbal.lp import (
     Infeasible,
     LinearProgram,
     NoFeasibleTau,
+    NumericalFailure,
     build_lpc,
     min_feasible_tau,
     solve_feasibility,
@@ -208,6 +210,23 @@ class TestMinFeasibleTau:
         assert isinstance(solve_lpc(inst, 1.2), Infeasible)
         assert not isinstance(solve_lpc(inst, 1.4), Infeasible)
         assert min_feasible_tau(inst)[0] == pytest.approx(1.4, rel=1e-3)
+
+    def test_coefficient_past_the_solver_limit_midway_is_refused(self):
+        # the only coefficient at or above 1e15, request 0's exceptional
+        # 1.2e15, appears at the search's second midpoint, not at its upper
+        # bound 1.7e15, so a warm-started step meets it first
+        law = DiscreteDistribution([(0, 0.4), (1.5e15, 0.4), (3e15, 0.2)])
+        inst = ConfigInstance(
+            1,
+            [
+                Request(0, [Configuration([1], law)]),
+                Request(1, [Configuration([1], point_mass(5e14))]),
+            ],
+        )
+        assert not isinstance(solve_lpc(inst, 1.7e15), Infeasible)
+        message = "phase-1 coefficient of magnitude 1.2e+15 is at or above the solver's limit 1e+15"
+        with pytest.raises(NumericalFailure, match=re.escape(message)):
+            min_feasible_tau(inst)
 
     def test_monotone_feasibility(self):
         for inst in tiny_suite("config", 8, seed=602):

@@ -26,7 +26,7 @@ from cfgbal.lp import (
     solve_lpc,
 )
 
-from conftest import reference_phase1
+from conftest import reference_min_feasible_tau, reference_phase1
 
 _GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 _spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN)
@@ -83,6 +83,9 @@ def phase1_calls(monkeypatch):
 def test_lpc_builds_match_reference(phase1_calls, k):
     inst = unrelated_to_config(gen.unrelated_instance(1, k, 12, 4))
     tau, _ = min_feasible_tau(inst)
+    # the search's session steps skip phase1; the reference search builds
+    # each of its midpoints fresh
+    assert reference_min_feasible_tau(inst)[0] == tau
     verdicts = [solve_lpc(inst, f * tau) for f in (0.5, 0.9, 0.999, 1.0, 1.1, 2.0)]
     assert isinstance(verdicts[1], Infeasible) and not isinstance(verdicts[-1], Infeasible)
     assert len(phase1_calls) > 10
