@@ -27,7 +27,6 @@ from .lp import (
     NumericalFailure,
     build_lpc,
     min_feasible_tau,
-    solve_feasibility,
     solve_lpc,
     solve_lpp_column_generation,
 )

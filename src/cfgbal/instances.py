@@ -217,8 +217,8 @@ class TailTable:
     value at tau, bit for bit.
 
     LP_C's coefficients are entries: configuration entry_config[e] in row
-    entry_row[e] (request j is row j, resource i row n + i, the exceptional
-    row n + m) with value entry_value[e], an index into
+    entry_row[e] (resource i is row i, the exceptional row m, request j row
+    m + 1 + j: lp.py's layout) with value entry_value[e], an index into
     [*truncated at tau, *exceptional at tau, 1.0] over the pairs. Each
     configuration lists its request row, the truncated row of every nonzero
     multiplier and, if its largest multiplier is nonzero, the exceptional
@@ -226,7 +226,7 @@ class TailTable:
     """
 
     def __init__(self, inst):
-        n, m = inst.n, inst.m
+        m = inst.m
         index = {}
         self.pairs, self.breakpoints = [], []
         start, truncated, exceptional = [], [], []
@@ -254,10 +254,10 @@ class TailTable:
                 self.choices.append((j, c))
                 emax.append(float(config.expected_max()))
                 law, mults = config.law, config.multipliers
-                entries.append((k, j, 2, 0))
-                entries += [(k, n + i, 0, pair(law, mults[i])) for i in config._nonzero]
+                entries.append((k, m + 1 + j, 2, 0))
+                entries += [(k, i, 0, pair(law, mults[i])) for i in config._nonzero]
                 if config.max_multiplier:
-                    entries.append((k, n + m, 1, pair(law, config.max_multiplier)))
+                    entries.append((k, m, 1, pair(law, config.max_multiplier)))
         self.emax = np.array(emax, dtype=float)
         self.request_start = np.array(request_start, dtype=np.intp)
         self.start = np.array(start, dtype=np.intp)
@@ -266,7 +266,6 @@ class TailTable:
         config, row, kind, p = np.array(entries, dtype=np.intp).reshape(-1, 4).T
         self.entry_config, self.entry_row = config, row
         self.entry_value = kind * len(self.pairs) + p
-        self.row_names = [f"req_{j}" for j in range(n)] + [f"trunc_{i}" for i in range(m)] + ["exc"]
 
     def tails_at(self, tau):
         """(truncated, exceptional) at tau > 0: float arrays over the

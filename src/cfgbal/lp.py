@@ -1,11 +1,13 @@
-"""Linear programs: feasibility solving, the configuration-balancing LP
-LP_C, threshold search, and the routing path LP via column generation.
+"""Linear programs: the configuration-balancing LP LP_C, threshold search,
+and the routing path LP via column generation.
 
-Feasibility is decided by an explicit phase-1 program (minimize total
+Both LPs are one LinearProgram in one layout: row i < m is resource (or
+edge) i's truncated row, row m the exceptional row, both <= tau, and row
+m + 1 + j request j's convexity row, = 1; column k is one (request,
+choice), in request order. One solve(lp) runs its phase 1 (minimize total
 constraint violation through artificial variables); a point is feasible iff
-the phase-1 optimum is at most FEAS_TOL. LP_C and the column-generation
-master both go through phase1, which assembles one sparse column-wise model
-and hands it to HiGHS through scipy's bundled bindings
+the phase-1 optimum is at most FEAS_TOL. phase1 assembles one sparse
+column-wise model and hands it to HiGHS through scipy's bundled bindings
 (scipy.optimize._highspy._core) under the options scipy's linprog sets for
 method="highs"; the dual simplex is deterministic for a fixed input. phase1
 keeps linprog's checks: finite input, an optimal model status, and a
@@ -13,10 +15,11 @@ solution within linprog's residual tolerance.
 
 LP_C's tau-independent data (each configuration's E[max], and the tail
 kernel's values at the breakpoints of each (law, multiplier) pair) is built
-once per instance, as instances.TailTable. Each build_lpc call then prunes
-by one array comparison, finds each pair's coefficients by one bisect_left,
-and hands phase1 coordinate entries; LinearProgram derives dict rows only
-when they are read.
+once per instance, as instances.TailTable, whose entries are already in the
+layout. Each build_lpc call then prunes by one array comparison, finds each
+pair's coefficients by one bisect_left, and keeps the table entries of the
+unpruned configurations; LinearProgram derives dict rows only when they are
+read.
 
 Both LPs share one threshold search, which returns the solution
 {request: [(choice, weight)]} it found at the threshold it returns, so the
@@ -83,39 +86,31 @@ class Infeasible:
 
 
 class LinearProgram:
-    """Feasibility LP over n_vars variables x >= 0. Row r has sense
-    senses[r] ("<=" or "="), right-hand side rhs[r] and name names[r]; the
-    coefficients are coordinate entries (row[k], col[k], val[k]), no
-    position twice. .rows derives the (coeffs dict col -> val, sense, rhs,
-    name) tuples, each dict in entry order, when read."""
+    """LP_C or the path LP at threshold t over n_vars variables x >= 0, in
+    the module's layout over m resources and n requests. The coefficients
+    are coordinate entries (row[k], col[k], val[k]), no position twice; a
+    zero entry is inert. .rows derives the (coeffs dict col -> val, sense,
+    rhs, name) tuples, the nonzero coefficients in entry order, named
+    trunc_i, exc and req_j, when read."""
 
-    def __init__(self, n_vars, senses=(), rhs=(), names=(), row=(), col=(), val=()):
-        self.n_vars = n_vars
-        self.senses, self.rhs, self.names = list(senses), list(rhs), list(names)
+    def __init__(self, n_vars, m, n, t, row, col, val):
+        self.n_vars, self.m, self.n, self.t = n_vars, m, n, t
         self.row = np.asarray(row, dtype=np.intp)
         self.col = np.asarray(col, dtype=np.intp)
         self.val = np.asarray(val, dtype=float)
 
-    def add_row(self, coeffs, sense, rhs, name):
-        if sense not in ("<=", "="):
-            raise ValueError(f"bad sense {sense}")
-        if coeffs and not (0 <= min(coeffs) and max(coeffs) < self.n_vars):
-            raise ValueError(f"row {name}: coefficient on an unknown variable")
-        self.row = np.concatenate((self.row, np.full(len(coeffs), len(self.senses), dtype=np.intp)))
-        self.col = np.concatenate((self.col, np.fromiter(coeffs, dtype=np.intp, count=len(coeffs))))
-        self.val = np.concatenate((self.val, np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))))
-        self.senses.append(sense)
-        self.rhs.append(float(rhs))
-        self.names.append(name)
-
     @property
     def rows(self):
-        order = np.argsort(self.row, kind="stable")
-        bounds = np.searchsorted(self.row[order], np.arange(len(self.senses) + 1)).tolist()
-        col, val = self.col[order].tolist(), self.val[order].tolist()
+        nonzero = self.val != 0
+        row = self.row[nonzero]
+        order = np.argsort(row, kind="stable")
+        bounds = np.searchsorted(row[order], np.arange(self.m + self.n + 2)).tolist()
+        col, val = self.col[nonzero][order].tolist(), self.val[nonzero][order].tolist()
+        shape = [("<=", self.t, f"trunc_{i}") for i in range(self.m)] + [("<=", self.t, "exc")]
+        shape += [("=", 1.0, f"req_{j}") for j in range(self.n)]
         return [
             (dict(zip(col[a:b], val[a:b])), sense, rhs, name)
-            for a, b, sense, rhs, name in zip(bounds, bounds[1:], self.senses, self.rhs, self.names)
+            for a, b, (sense, rhs, name) in zip(bounds, bounds[1:], shape)
         ]
 
 
@@ -224,18 +219,9 @@ def accept_phase1(res, b_ub, b_eq):
     return res
 
 
-def solve_feasibility(lp):
-    """Phase-1 feasibility: a point satisfying all rows within FEAS_TOL, or
-    an Infeasible verdict."""
-    eq = np.array([sense == "=" for sense in lp.senses], dtype=bool)
-    rhs = np.array(lp.rhs, dtype=float)
-    # phase 1 numbers the <= rows first, then the = rows
-    position = np.empty(len(eq), dtype=np.intp)
-    position[np.argsort(eq, kind="stable")] = np.arange(len(eq))
-    res = phase1(lp.n_vars, position[lp.row], lp.col, lp.val, rhs[~eq], rhs[eq])
-    if res.fun > FEAS_TOL:
-        return Infeasible(f"phase-1 violation {res.fun:.3e}")
-    return np.clip(res.x[: lp.n_vars], 0.0, None)
+def solve(lp):
+    """phase1 on a LinearProgram: its <= rows at lp.t, its = rows at 1."""
+    return phase1(lp.n_vars, lp.row, lp.col, lp.val, np.full(lp.m + 1, lp.t), np.ones(lp.n))
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +239,18 @@ def build_lpc(inst, tau):
     E[max_i X_i(c)] > tau are pruned (excluded, so their weight is exactly
     zero). Returns (LinearProgram, var_map) with var_map[k] = (j, c).
 
-    Every coefficient is looked up in the instance's TailTable; zero
-    coefficients are left out."""
+    Every coefficient is looked up in the instance's TailTable. The
+    entries are the table's entries of the unpruned configurations, in
+    table order, zeros included (phase1_model drops them)."""
     check_tau(tau)
     t = float(tau)
     table = inst.tail_table()
     value = np.concatenate((*table.tails_at(tau), [1.0]))[table.entry_value]
     kept = _unpruned(table, t)
-    keep = kept[table.entry_config] & (value != 0)
+    keep = kept[table.entry_config]
     col = np.cumsum(kept)[table.entry_config[keep]] - 1
     var_map = list(compress(table.choices, kept.tolist()))
-    n, m = inst.n, inst.m
-    lp = LinearProgram(
-        len(var_map), ["="] * n + ["<="] * (m + 1), [1.0] * n + [t] * (m + 1), table.row_names,
-        table.entry_row[keep], col, value[keep],
-    )
+    lp = LinearProgram(len(var_map), inst.m, inst.n, t, table.entry_row[keep], col, value[keep])
     return lp, var_map
 
 
@@ -283,12 +266,12 @@ def solve_lpc(inst, tau, session=None):
         if j not in present:
             return Infeasible(f"request {req.id}: all configurations pruned at tau={tau}")
     if session is not None:
-        return session.verdict(lp, float(tau))
-    x = solve_feasibility(lp)
-    if isinstance(x, Infeasible):
-        return x
+        return session.verdict(lp)
+    res = solve(lp)
+    if res.fun > FEAS_TOL:
+        return Infeasible(f"phase-1 violation {res.fun:.3e}")
     weights = {j: [] for j in range(inst.n)}
-    for (j, c), w in zip(var_map, x.tolist()):
+    for (j, c), w in zip(var_map, np.clip(res.x[: lp.n_vars], 0.0, None).tolist()):
         weights[j].append((c, w))
     return weights
 
@@ -298,62 +281,51 @@ class _LpcSession:
     step updates and re-runs from the basis the last run left (a dual
     simplex warm start). Its columns are every configuration of the
     instance in the tail table's order, then one artificial per request
-    row; its rows are phase 1's: the m + 1 <= rows, then the n request
-    rows. The first step opens a _Highs with phase1_model's model, the
-    pruned configurations bounded to [0, 0]. A later step writes only what
-    changed: each unpruned configuration's coefficient whose value changed
-    (checked by check_phase1_input first; a zero deletes the entry), [0, 0]
-    on newly pruned configurations and [0, inf) on restored ones, and tau
-    on the <= rows. A pruned configuration keeps its last coefficients,
-    which its bounds make inert. close() drops the solver."""
+    row; its rows are the module's layout, and its coefficients the tail
+    table's entries. The first step opens a _Highs with phase1_model's
+    model, the pruned configurations bounded to [0, 0]. A later step
+    writes only what changed: each unpruned configuration's coefficient
+    whose value changed (checked by check_phase1_input first; a zero
+    deletes the entry), [0, 0] on newly pruned configurations and [0, inf)
+    on restored ones, and tau on the <= rows. A pruned configuration keeps
+    its last coefficients, which its bounds make inert. close() drops the
+    solver."""
 
     def __init__(self, inst):
-        table = inst.tail_table()
-        self.n, self.m = inst.n, inst.m
-        self.table = table
-        self.config = table.entry_config
-        # phase 1 numbers the <= rows (truncated, then exceptional) first
-        self.row = np.concatenate((self.m + 1 + np.arange(self.n), np.arange(self.m + 1)))[table.entry_row]
-        # table entries sorted by (configuration, LP_C row): where each of
-        # build_lpc's entries sits in the table
-        self.width = self.n + self.m + 1
-        keys = table.entry_config * self.width + table.entry_row
-        self.by_key = np.argsort(keys)
-        self.keys = keys[self.by_key]
-        self.value = np.zeros(len(keys))  # each entry's coefficient in the model
-        self.kept = np.zeros(len(table.emax), dtype=bool)
+        self.table = inst.tail_table()
+        self.value = np.zeros(len(self.table.entry_config))  # each entry's coefficient in the model
+        self.kept = np.zeros(len(self.table.emax), dtype=bool)
         self.solver = None
 
     def close(self):
         self.solver = None
 
-    def verdict(self, lp, t):
-        """solve_feasibility's verdict on build_lpc's lp at t, True or
-        Infeasible, from the session's model."""
-        kept = _unpruned(self.table, t)
-        cols = np.flatnonzero(kept)  # build_lpc's columns
-        entries = self.by_key[np.searchsorted(self.keys, cols[lp.col] * self.width + lp.row)]
-        value = np.where(kept[self.config], 0.0, self.value)
-        value[entries] = lp.val
-        b_ub, b_eq = np.full(self.m + 1, t), np.ones(self.n)
+    def verdict(self, lp):
+        """solve_lpc's verdict on build_lpc's lp, True or Infeasible, from
+        the session's model."""
+        table = self.table
+        kept = _unpruned(table, lp.t)
+        value = self.value.copy()
+        value[kept[table.entry_config]] = lp.val  # build_lpc's entries, in table order
+        b_ub, b_eq = np.full(lp.m + 1, lp.t), np.ones(lp.n)
         if self.solver is None:
-            model = phase1_model(len(kept), self.row[entries], cols[lp.col], lp.val, b_ub, b_eq)
-            model.col_upper_ = np.where(kept, np.inf, 0.0).tolist() + [np.inf] * self.n
+            model = phase1_model(len(kept), table.entry_row, table.entry_config, value, b_ub, b_eq)
+            model.col_upper_ = np.where(kept, np.inf, 0.0).tolist() + [np.inf] * lp.n
             self.solver = highs._Highs()
             self.solver.passOptions(_OPTIONS)
             res = linprog(model, self.solver)
         else:
             changed = np.flatnonzero(value != self.value)
             check_phase1_input(value[changed], b_ub, b_eq)
-            rows, configs = self.row[changed].tolist(), self.config[changed].tolist()
+            rows, configs = table.entry_row[changed].tolist(), table.entry_config[changed].tolist()
             for r, k, v in zip(rows, configs, value[changed].tolist()):
                 self.solver.changeCoeff(r, k, v)
             flip = np.flatnonzero(kept != self.kept)
             if len(flip):
                 upper = np.where(kept[flip], np.inf, 0.0)
                 self.solver.changeColsBounds(len(flip), flip.astype(np.int32), np.zeros(len(flip)), upper)
-            for r in range(self.m + 1):
-                self.solver.changeRowBounds(r, -np.inf, t)
+            for r in range(lp.m + 1):
+                self.solver.changeRowBounds(r, -np.inf, lp.t)
             res = linprog(None, self.solver)
         self.value, self.kept = value, kept
         res = accept_phase1(res, b_ub, b_eq)
@@ -426,9 +398,9 @@ def min_feasible_tau(inst):
 
 
 def _routing_master(r, tau, views, columns):
-    """Phase-1 master LP for a restricted column set over the m edge rows,
-    the exceptional row and one convexity row per request; returns the
-    HighsSolution and the (request, path) of each structural column."""
+    """Phase-1 master LP for a restricted column set, in the module's
+    layout; returns the HighsSolution and the (request, path) of each
+    structural column."""
     cols = [(j, path) for j, paths in enumerate(columns) for path in sorted(paths)]
     row, col, val = [], [], []
     for k, (j, path) in enumerate(cols):
@@ -436,7 +408,7 @@ def _routing_master(r, tau, views, columns):
         row += [*path, r.m, r.m + 1 + j]
         col += [k] * (len(path) + 2)
         val += [*(view.truncated[e] for e in path), view.exceptional(path), 1.0]
-    return phase1(len(cols), row, col, val, np.full(r.m + 1, float(tau)), np.ones(r.n)), cols
+    return solve(LinearProgram(len(cols), r.m, r.n, float(tau), row, col, val)), cols
 
 
 def solve_lpp_column_generation(r, tau):

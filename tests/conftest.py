@@ -28,7 +28,7 @@ from cfgbal.instances import (
     random_tiny_instance,
 )
 import cfgbal.lp
-from cfgbal.lp import LinearProgram, solve_feasibility, Infeasible
+from cfgbal.lp import FEAS_TOL, LinearProgram, Infeasible, solve
 from cfgbal.instances import routing_to_config, NoFeasiblePath
 from cfgbal.simulate import request_stream
 
@@ -77,6 +77,24 @@ def brute_force_unrelated_opt(u):
     return go(frozenset(range(n)), tuple(Fraction(0) for _ in range(m)))
 
 
+def program_from_rows(n_vars, t, trunc_rows, exc_row, req_rows):
+    """The LinearProgram with these per-row dicts {column: coefficient} in
+    cfgbal.lp's layout: the truncated rows, the exceptional row, then the
+    request rows."""
+    rows = [*trunc_rows, exc_row, *req_rows]
+    entries = [(r, k, v) for r, coeffs in enumerate(rows) for k, v in coeffs.items()]
+    row, col, val = zip(*entries) if entries else ((), (), ())
+    return LinearProgram(n_vars, len(trunc_rows), len(req_rows), t, row, col, val)
+
+
+def solve_program(lp):
+    """x >= 0 on lp's columns, or Infeasible, from cfgbal.lp.solve."""
+    res = solve(lp)
+    if res.fun > FEAS_TOL:
+        return Infeasible(f"phase-1 violation {res.fun:.3e}")
+    return np.clip(res.x[: lp.n_vars], 0.0, None)
+
+
 def full_path_lp(r, tau):
     """Path LP over ALL enumerated simple paths (the exhaustive-route check
     for column generation). Returns a FractionalSolution-like dict or
@@ -89,15 +107,9 @@ def full_path_lp(r, tau):
     for j, view in enumerate(views):
         for path in view.paths():
             columns.append((j, path))
-    lp = LinearProgram(len(columns))
-    for j in range(r.n):
-        lp.add_row(
-            {k: 1.0 for k, (jj, _) in enumerate(columns) if jj == j},
-            "=",
-            1.0,
-            f"req_{j}",
-        )
+    req_rows = [{k: 1.0 for k, (jj, _) in enumerate(columns) if jj == j} for j in range(r.n)]
     t = float(tau)
+    trunc_rows = []
     for e in range(r.m):
         coeffs = {}
         for k, (j, path) in enumerate(columns):
@@ -105,14 +117,13 @@ def full_path_lp(r, tau):
                 law = r.requests[j][2]
                 cap = float(r.edges[e][2])
                 coeffs[k] = float(law.scale(1.0 / cap).truncated_mean(tau))
-        lp.add_row(coeffs, "<=", t, f"trunc_{e}")
-    coeffs = {}
+        trunc_rows.append(coeffs)
+    exc_row = {}
     for k, (j, path) in enumerate(columns):
         law = r.requests[j][2]
         c_min = min(float(r.edges[e][2]) for e in path)
-        coeffs[k] = float(law.scale(1.0 / c_min).exceptional_mean(tau))
-    lp.add_row(coeffs, "<=", t, "exc")
-    x = solve_feasibility(lp)
+        exc_row[k] = float(law.scale(1.0 / c_min).exceptional_mean(tau))
+    x = solve_program(program_from_rows(len(columns), t, trunc_rows, exc_row, req_rows))
     if isinstance(x, Infeasible):
         return x
     return {(j, path): x[k] for k, (j, path) in enumerate(columns)}
@@ -143,13 +154,7 @@ def reference_build_lpc(inst, tau):
             v = float(exceptional)
             if v:
                 exc_row[k] = v
-    lp = LinearProgram(len(var_map))
-    for j, coeffs in enumerate(req_rows):
-        lp.add_row(coeffs, "=", 1.0, f"req_{j}")
-    for i, coeffs in enumerate(trunc_rows):
-        lp.add_row(coeffs, "<=", t, f"trunc_{i}")
-    lp.add_row(exc_row, "<=", t, "exc")
-    return lp, var_map
+    return program_from_rows(len(var_map), t, trunc_rows, exc_row, req_rows), var_map
 
 
 def reference_solve_lpc(inst, tau):
@@ -159,7 +164,7 @@ def reference_solve_lpc(inst, tau):
     for j in range(inst.n):
         if j not in present:
             return Infeasible(f"request {inst.requests[j].id}: all configurations pruned at tau={tau}")
-    x = solve_feasibility(lp)
+    x = solve_program(lp)
     if isinstance(x, Infeasible):
         return x
     weights = {j: [] for j in range(inst.n)}

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfgbal.distributions import DiscreteDistribution, point_mass
+from cfgbal.instance_io import read_instance
 from cfgbal.instances import (
     Configuration,
     ConfigInstance,
@@ -14,13 +16,14 @@ from cfgbal.instances import (
     unrelated_to_config,
 )
 from cfgbal.lp import (
+    FEAS_TOL,
     Infeasible,
     LinearProgram,
     NoFeasibleTau,
     NumericalFailure,
     build_lpc,
     min_feasible_tau,
-    solve_feasibility,
+    solve,
     solve_lpc,
     solve_lpp_column_generation,
     threshold_search,
@@ -45,25 +48,15 @@ def one_request(law, tau_feasible):
 
 class TestSolveFeasibility:
     def test_empty_constraints(self):
-        lp = LinearProgram(1)
-        x = solve_feasibility(lp)
-        assert not isinstance(x, Infeasible)
+        lp = LinearProgram(1, 0, 0, 1.0, (), (), ())
+        assert lp.rows == [({}, "<=", 1.0, "exc")]
+        assert solve(lp).fun <= FEAS_TOL
 
     def test_contradictory(self):
-        lp = LinearProgram(1)
-        lp.add_row({0: 1.0}, "=", 1.0, "one")
-        lp.add_row({0: 1.0}, "<=", 0.5, "cap")
-        assert isinstance(solve_feasibility(lp), Infeasible)
-
-    @pytest.mark.parametrize(
-        "coeffs, sense",
-        [({2: 1.0}, "<="), ({-1: 1.0}, "="), ({0: 1.0, 5: 1.0}, "<="), ({0: 1.0}, ">=")],
-    )
-    def test_add_row_refuses_unknown_variable_or_sense(self, coeffs, sense):
-        lp = LinearProgram(2)
-        with pytest.raises(ValueError):
-            lp.add_row(coeffs, sense, 1.0, "bad")
-        assert lp.rows == []
+        # x_0 = 1 on request 0's row, x_0 <= 0.5 on resource 0's row
+        lp = LinearProgram(1, 1, 1, 0.5, [2, 0], [0, 0], [1.0, 1.0])
+        assert lp.rows == [({0: 1.0}, "<=", 0.5, "trunc_0"), ({}, "<=", 0.5, "exc"), ({0: 1.0}, "=", 1.0, "req_0")]
+        assert solve(lp).fun > FEAS_TOL
 
 
 class TestLPC:
@@ -105,8 +98,9 @@ class TestLPC:
 
 
 def lpc_rows_by_coordinate(inst, tau):
-    """LP_C's var_map and rows the direct way: every (resource,
-    configuration) pair priced through a scaled copy of the law."""
+    """LP_C's var_map and rows the direct way, in cfgbal.lp's layout: every
+    (resource, configuration) pair priced through a scaled copy of the
+    law."""
     t = float(tau)
     var_map = [
         (j, c)
@@ -115,10 +109,7 @@ def lpc_rows_by_coordinate(inst, tau):
         if float(cfg.expected_max()) <= t
     ]
     configs = [inst.requests[j].configs[c] for j, c in var_map]
-    rows = [
-        ({k: 1.0 for k, (jj, _) in enumerate(var_map) if jj == j}, "=", 1.0, f"req_{j}")
-        for j in range(inst.n)
-    ]
+    rows = []
     for i in range(inst.m):
         coeffs = {}
         for k, cfg in enumerate(configs):
@@ -134,6 +125,10 @@ def lpc_rows_by_coordinate(inst, tau):
         if v:
             coeffs[k] = v
     rows.append((coeffs, "<=", t, "exc"))
+    rows += [
+        ({k: 1.0 for k, (jj, _) in enumerate(var_map) if jj == j}, "=", 1.0, f"req_{j}")
+        for j in range(inst.n)
+    ]
     return var_map, rows
 
 
@@ -307,6 +302,15 @@ class TestColumnGeneration:
         _assert_lpp_solution_valid(r, tau, sol)
         used_paths = {p for j, entries in sol.items() for p, w in entries if w > 1e-6}
         assert (1, 2) in used_paths  # the priced-in two-hop path carries weight
+
+    def test_coefficient_past_the_solver_limit_is_refused(self, tmp_path):
+        # the edge's truncated weight 1e6 / 1e-10 reaches the master
+        path = tmp_path / "limit.json"
+        edges, requests = [[0, 1, 1e-10]], [[0, 1, [[1e6, 1.0]]]]
+        path.write_text(json.dumps({"kind": "routing", "vertices": 2, "edges": edges, "requests": requests}))
+        message = "phase-1 coefficient of magnitude 1e+16 is at or above the solver's limit 1e+15"
+        with pytest.raises(NumericalFailure, match=re.escape(message)):
+            solve_lpp_column_generation(read_instance(str(path)), 1e17)
 
 
 class TestOneAdmissibilityRule:

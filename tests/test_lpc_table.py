@@ -3,8 +3,10 @@ per-step build that priced every configuration through
 Configuration.tails): the same rows, dict order included, the same
 var_map, verdicts, weights and threshold search, on seeded unrelated,
 related-reduced and exact tiny instances at float, int and Fraction taus
-and on degenerate instances; and the table's looked-up values against the
-tail kernel itself."""
+and on degenerate instances; build_lpc's entries against the table's
+entries of the kept configurations, zeros included, which is what the
+warm-started session writes them by; and the table's looked-up values
+against the tail kernel itself."""
 
 import importlib.util
 import math
@@ -65,6 +67,29 @@ def assert_build_matches_reference(inst, tau):
     assert rows_of(program) == rows_of(want)
 
 
+def assert_entries_are_the_table_entries(inst, tau):
+    """build_lpc's entries are exactly the table's entries of its kept
+    configurations, in table order, zeros included (what the session
+    writes them by), each value the tail kernel's; .rows lists no zero
+    coefficient. Returns the number of zero entries."""
+    program, var_map = build_lpc(inst, tau)
+    table = inst.tail_table()
+    column = {choice: k for k, choice in enumerate(var_map)}
+    truncated = [float(law.truncated_mean(tau, a)) for law, a in table.pairs]
+    exceptional = [float(law.exceptional_mean(tau, a)) for law, a in table.pairs]
+    values = truncated + exceptional + [1.0]
+    want = [
+        (r, column[table.choices[k]], values[v])
+        for k, r, v in zip(table.entry_config.tolist(), table.entry_row.tolist(), table.entry_value.tolist())
+        if table.choices[k] in column
+    ]
+    got = list(zip(program.row.tolist(), program.col.tolist(), program.val.tolist()))
+    assert [(r, k) for r, k, _ in got] == [(r, k) for r, k, _ in want]
+    assert bits([v for _, _, v in got]) == bits([v for _, _, v in want])
+    assert all(v != 0 for coeffs, _, _, _ in program.rows for v in coeffs.values())
+    return sum(v == 0 for _, _, v in got)
+
+
 def assert_matches_reference(inst, tau):
     assert_build_matches_reference(inst, tau)
     assert outcome(solve_lpc, inst, tau) == outcome(reference_solve_lpc, inst, tau)
@@ -85,12 +110,15 @@ def reference_search(inst):
 
 @pytest.mark.parametrize("name", ["unrelated", "related", "dense", "tiny"])
 def test_build_and_solve_match_reference(name):
+    zeros = 0
     for inst in suite(name):
         tau, sol = min_feasible_tau(inst)
         assert repr((tau, sol)) == repr(reference_search(inst))
         taus = [f * tau for f in FACTORS] if tau else []
         for t in taus + list(EXACT_TAUS):
             assert_matches_reference(inst, t)
+            zeros += assert_entries_are_the_table_entries(inst, t)
+    assert zeros  # the suite has zero coefficients for build_lpc to keep
 
 
 COIN = DiscreteDistribution([(0, Fraction(1, 2)), (2, Fraction(1, 2))])
