@@ -68,25 +68,14 @@ class Configuration:
         """E[max_i X_i(c)] = (max_i a_i) * E[X]."""
         return self.max_multiplier * self.law.mean()
 
-    def expected_max_exceptional(self, tau):
-        """E[max_i X_i^E(c)]: exceptional part of the largest coordinate."""
-        a = self.max_multiplier
-        if a == 0:
-            return 0
-        return self.law.exceptional_mean(tau, a)
-
-    def expected_truncated(self, i, tau):
-        """E[X_i^T(c)] for resource i; truncation is per coordinate."""
-        a = self.multipliers[i]
-        if a == 0:
-            return 0
-        return self.law.truncated_mean(tau, a)
-
     def tails(self, tau):
-        """(expected_max_exceptional, [(i, expected_truncated(i)) for every
-        a_i != 0]) at tau, with one truncated-mean scan per distinct nonzero
-        multiplier (keyed by type as well, since 1 and 1.0 scale a rational
-        law into different types)."""
+        """The configuration's prices at tau, which the online proxies and
+        the offline loads read: (E[max_i X_i^E], [(i, E[X_i^T]) for every
+        a_i != 0]). The exceptional part is that of the largest coordinate
+        (0 when every a_i is 0); truncation is per coordinate, with one
+        truncated-mean scan per distinct nonzero multiplier (keyed by type
+        as well, since 1 and 1.0 scale a rational law into different
+        types)."""
         law, mults = self.law, self.multipliers
         by_multiplier = {}
         truncated = []
@@ -97,16 +86,8 @@ class Configuration:
             if v is None:
                 v = by_multiplier[key] = law.truncated_mean(tau, a)
             truncated.append((i, v))
-        return self.expected_max_exceptional(tau), truncated
-
-    def proxy_vector(self, tau):
-        """Deterministic proxy (x_0, x_1, ..., x_m): exceptional part on the
-        virtual resource 0, truncated expectations elsewhere."""
-        exceptional, truncated = self.tails(tau)
-        loads = [0] * len(self.multipliers)
-        for i, v in truncated:
-            loads[i] = v
-        return (exceptional, *loads)
+        top = self.max_multiplier
+        return (law.exceptional_mean(tau, top) if top else 0), truncated
 
     def exact(self):
         """This configuration in exact numbers; itself when it already is

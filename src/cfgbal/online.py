@@ -88,11 +88,18 @@ def argmin_step(state, proxies):
 
 def request_proxies(request, tau):
     """Deterministic proxy vectors (x_0, x_1, ..., x_m) of a request's
-    configurations at threshold tau."""
-    return [
-        tuple(float(v) for v in config.proxy_vector(tau))
-        for config in request.configs
-    ]
+    configurations at threshold tau, in floats: each configuration's
+    exceptional part on the virtual resource 0 and its truncated means
+    elsewhere, as Configuration.tails prices them."""
+    proxies = []
+    for config in request.configs:
+        exceptional, truncated = config.tails(tau)
+        x = [0.0] * (len(config.multipliers) + 1)
+        x[0] = float(exceptional)
+        for i, v in truncated:
+            x[i + 1] = float(v)
+        proxies.append(tuple(x))
+    return proxies
 
 
 def online_step(state, request):
@@ -126,27 +133,31 @@ class OnlineRun:
         return {rec.request: rec.choice for rec in self.records}
 
 
-def guess_and_double(stream, inner, lam0=None):
+def guess_and_double(stream, inner):
     """Doubling wrapper: run the inner algorithm at guess lambda; on Fail,
     double lambda, reset the load vector (committed choices stand) and
     re-offer the failing request. The initial guess is the cheapest expected
     cost any policy could pay for the first request; a zero guess is bumped
     to the first positive cost in the stream, else 1.0 (a Fail at
-    lambda = 0 would otherwise never escape the doubling). The inner
-    algorithm provides m, min_expected_cost, request_id and step."""
+    lambda = 0 would otherwise never escape the doubling).
+
+    stream holds (request id, request) pairs; each record carries the id.
+    The inner algorithm provides m, min_expected_cost(request) and
+    step(state, request), which returns (choice, proxy, dphi, new state)
+    or None on Fail."""
     stream = list(stream)
     if not stream:
         raise ValidationError("empty request stream")
-    lam = float(lam0) if lam0 is not None else inner.min_expected_cost(stream[0])
+    lam = inner.min_expected_cost(stream[0][1])
     if lam <= 0:
-        costs = (inner.min_expected_cost(request) for request in stream)
+        costs = (inner.min_expected_cost(request) for _, request in stream)
         lam = next((v for v in costs if v > 0), 1.0)
     state = PotentialState.fresh(inner.m, lam)
     records = []
     phase = 0
     idx = 0
     while idx < len(stream):
-        request = stream[idx]
+        request_id, request = stream[idx]
         step = inner.step(state, request)
         if step is None:
             lam = 2.0 * lam
@@ -154,9 +165,7 @@ def guess_and_double(stream, inner, lam0=None):
             state = PotentialState.fresh(inner.m, lam)
             continue
         choice, proxy, dphi, state = step
-        records.append(
-            TraceRecord(inner.request_id(request, idx), phase, lam, choice, proxy, dphi)
-        )
+        records.append(TraceRecord(request_id, phase, lam, choice, proxy, dphi))
         idx += 1
     return OnlineRun(records, state, lam, phase + 1)
 
@@ -171,9 +180,6 @@ class ConfigBalancer:
     def min_expected_cost(self, request):
         return min(float(c.expected_max()) for c in request.configs)
 
-    def request_id(self, request, idx):
-        return request.id
-
     def step(self, state, request):
         proxies = request_proxies(request, state.tau)
         result = argmin_step(state, proxies)
@@ -183,10 +189,10 @@ class ConfigBalancer:
         return idx, proxies[idx], dphi, new_state
 
 
-def run_online_config(inst, lam0=None):
+def run_online_config(inst):
     """Online configuration balancing with guess-and-double; the produced
     assignment is non-adaptive (proxies are expectations)."""
-    return guess_and_double(inst.requests, ConfigBalancer(inst.m), lam0=lam0)
+    return guess_and_double([(r.id, r) for r in inst.requests], ConfigBalancer(inst.m))
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +214,15 @@ def related_group_proxies(groups, law, tau):
     return proxies
 
 
-def online_related_step(groups, state, law, machine_loads, proxies=None):
+def online_related_step(groups, state, machine_loads, proxies):
     """Pick a group through the potential and then the least-loaded machine
     of that group (by realized truncated load, lowest id on ties).
 
     machine_loads maps a machine id of groups -> current realized truncated
-    load; proxies, when given, are related_group_proxies(groups, law,
+    load; proxies are the job's related_group_proxies(groups, job,
     state.tau). Returns (machine id, group index, dphi, new state) or None
     on Fail.
     """
-    if proxies is None:
-        proxies = related_group_proxies(groups, law, state.tau)
     result = argmin_step(state, proxies)
     if result is None:
         return None
@@ -252,9 +256,6 @@ class RelatedBalancer:
         fastest = max(float(s) for s, _, _ in self.groups)
         return float(job.mean()) / fastest
 
-    def request_id(self, job, idx):
-        return idx
-
     def truncated_loads(self, tau):
         """Per-machine realized truncated loads at tau, rescanned from the
         whole history."""
@@ -270,7 +271,7 @@ class RelatedBalancer:
             self.loads_tau = tau
             self.loads = self.truncated_loads(tau)
         proxies = related_group_proxies(self.groups, job, tau)
-        result = online_related_step(self.groups, state, job, self.loads, proxies)
+        result = online_related_step(self.groups, state, self.loads, proxies)
         if result is None:
             return None
         machine, group_idx, dphi, new_state = result
@@ -284,11 +285,11 @@ class RelatedBalancer:
         return machine, proxies[group_idx], dphi, new_state
 
 
-def run_online_related(related, realize, lam0=None):
-    """Online related-machines balancing over the job list; realize(j) gives
-    job j's realized size once it is committed."""
+def run_online_related(related, realize):
+    """Online related-machines balancing over the job list; realize(j, job)
+    gives job j's realized size once it is committed."""
     inner = RelatedBalancer(related, realize)
-    run = guess_and_double(list(related.jobs), inner, lam0=lam0)
+    run = guess_and_double(list(enumerate(related.jobs)), inner)
     return run, inner
 
 
@@ -339,9 +340,6 @@ class RouteBalancer:
     def min_expected_cost(self, j):
         return self.r.min_expected_cost(j)
 
-    def request_id(self, j, idx):
-        return j
-
     def step(self, state, j):
         result = online_route_step(self.r, state, j)
         if result is None:
@@ -353,10 +351,10 @@ class RouteBalancer:
         return path, proxy, dphi, new_state
 
 
-def run_online_routing(r, lam0=None):
+def run_online_routing(r):
     """Online routing over requests in arrival order; choices are paths as
     edge-index tuples."""
-    return guess_and_double(range(r.n), RouteBalancer(r), lam0=lam0)
+    return guess_and_double([(j, j) for j in range(r.n)], RouteBalancer(r))
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,7 @@ def expmax_regime(name, m, tau=1.0):
     geo:     sums with E[S_i] = c_i * tau for integer c_i shrinking
              geometrically by 3/2 (weights returned for max_i S_i / c_i);
              summand counts reach ~1.5^m, which the multinomial sampler
-             absorbs without enumerating summands.
+             absorbs without enumerating summands up to m = 105.
     Returns (per_sum, weights or None).
     """
     from fractions import Fraction
@@ -360,8 +360,9 @@ def estimate_expected_max(per_sum, trials, seed, weights=None):
 
     per_sum[i] is a list of (law, count) pairs: S_i is the sum of count iid
     copies of each law. Sums of iid finite-support draws are sampled exactly
-    through multinomial counts, so astronomically many summands cost O(1).
-    Returns (estimate, stderr).
+    through multinomial counts, so astronomically many summands cost O(1),
+    up to numpy's limit of a C long (2^63 - 1 on 64-bit Linux); a larger
+    count raises ValidationError. Returns (estimate, stderr).
     """
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
@@ -376,7 +377,12 @@ def estimate_expected_max(per_sum, trials, seed, weights=None):
             if len(values) == 1:
                 sums[:, i] += count * values[0]
                 continue
-            counts = rng.multinomial(int(count), probs, size=trials)
+            try:
+                counts = rng.multinomial(int(count), probs, size=trials)
+            except OverflowError as exc:  # numpy takes counts as C longs
+                raise ValidationError(
+                    f"summand count {count} is too large for the multinomial sampler"
+                ) from exc
             sums[:, i] += counts @ values
     if weights is not None:
         sums = sums / np.asarray([float(c) for c in weights])

@@ -487,6 +487,15 @@ class TestInputErrors:
         assert_one_error_line(captured.err)
         assert "nan" not in captured.out
 
+    def test_expmax_count_past_sampler(self, capsys):
+        # geo's largest summand count, 2 * c_1, first passes 2^63 - 1 at m = 106
+        assert run_cli("expmax", "--regime", "geo", "--m", "105", "--trials", "10") == 0
+        capsys.readouterr()
+        assert run_cli("expmax", "--regime", "geo", "--m", "106", "--trials", "10") == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert "summand count 10016949127614678712 " in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("tau", ["0", "-1", "nan"])
     def test_expmax_bad_tau(self, capsys, tau):
         assert run_cli("expmax", "--regime", "sqrtlog", "--m", "4", "--trials", "10", f"--tau={tau}") == 1

@@ -182,5 +182,5 @@ class TestScaledTails:
         law = DiscreteDistribution([(0.0, 0.5), (5e-324, 0.5)])
         with pytest.raises(ValidationError):
             law.scale(0.5)
-        value = Configuration([0.5], law).expected_truncated(0, 1.0)
+        _, [(_, value)] = Configuration([0.5], law).tails(1.0)
         assert value == 0.0 and isinstance(value, float)

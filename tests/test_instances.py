@@ -328,17 +328,15 @@ class TestConfigurationMath:
         cfg = Configuration([Fraction(1, 2), 2], law)
         assert cfg.expected_max() == 2 * 1  # 2 * E[X]
         # exceptional at tau=3: only max coordinate 2*2=4 crosses
-        assert cfg.expected_max_exceptional(3) == Fraction(1, 2) * 4
+        assert cfg.tails(3)[0] == Fraction(1, 2) * 4
 
     def test_per_resource_truncation(self):
         law = point_mass(2)
         cfg = Configuration([1, 2], law)
         # loads are (2, 4); at tau=3 the first is truncated, second exceptional
-        assert cfg.expected_truncated(0, 3) == 2
-        assert cfg.expected_truncated(1, 3) == 0
-        assert cfg.proxy_vector(3) == (4, 2, 0)
+        assert cfg.tails(3) == (4, [(0, 2), (1, 0)])
 
     def test_zero_multiplier(self):
         cfg = Configuration([0, 1], point_mass(1))
-        assert cfg.expected_truncated(0, 5) == 0
+        assert cfg.tails(5) == (0, [(1, 1)])  # resource 0 is left out
         assert cfg.expected_max() == 1

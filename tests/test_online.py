@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgbal.distributions import DiscreteDistribution, point_mass
 from cfgbal.instances import (
@@ -28,6 +30,7 @@ from cfgbal.online import (
     online_step,
     potential,
     related_group_proxies,
+    request_proxies,
     run_online_config,
     run_online_related,
     run_online_routing,
@@ -120,7 +123,55 @@ class TestOnlineStep:
     def test_boundary_proxy_is_exceptional(self):
         # s=1, tau=2, law {(2,1)}: proxy x0 = 2, truncated part 0
         cfg = Configuration([1], point_mass(2))
-        assert cfg.proxy_vector(2) == (2, 0)
+        assert request_proxies(Request(0, [cfg]), 2) == [(2.0, 0.0)]
+
+
+# zeros and repeats of equal values in both types: 1 and 1.0 scale a
+# Fraction law into different types
+_multipliers = st.sampled_from([0, 0.0, 1, 1.0, Fraction(1, 3), 0.5, 2, Fraction(3, 2)])
+
+
+@st.composite
+def request_at_tau(draw):
+    """A float or Fraction law, a request of one to three configurations
+    over m <= 5 resources, and a tau at a scaled support point, between two
+    of them, or anywhere."""
+    exact = draw(st.booleans())
+    values = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
+    total = sum(weights)
+    law = DiscreteDistribution([
+        (Fraction(v, 4), Fraction(w, total)) if exact else (v / 4, w / total)
+        for v, w in zip(values, weights)
+    ])
+    m = draw(st.integers(1, 5))
+    configs = draw(st.lists(
+        st.lists(_multipliers, min_size=m, max_size=m), min_size=1, max_size=3
+    ))
+    points = sorted({v * a for v in law.values() for mults in configs for a in mults} - {0})
+    between = [(p + q) / 2 for p, q in zip(points, points[1:])]
+    tau = draw(st.one_of(
+        *(st.sampled_from(xs) for xs in (points, between) if xs),
+        st.fractions(min_value=Fraction(1, 8), max_value=40, max_denominator=8),
+        st.floats(min_value=0.01, max_value=40.0),
+    ))
+    return Request(0, [Configuration(mults, law) for mults in configs]), tau
+
+
+class TestRequestProxies:
+    @settings(max_examples=300, deadline=None)
+    @given(request_at_tau())
+    def test_entries_are_the_kernel_values(self, case):
+        request, tau = case
+        proxies = request_proxies(request, tau)
+        assert len(proxies) == len(request.configs)
+        for config, proxy in zip(request.configs, proxies):
+            law, mults = config.law, config.multipliers
+            top = max(mults)
+            want = [float(law.exceptional_mean(tau, top)) if top else 0.0]
+            want += [float(law.truncated_mean(tau, a)) if a else 0.0 for a in mults]
+            assert all(type(x) is float for x in proxy)
+            assert [x.hex() for x in proxy] == [x.hex() for x in want]
 
 
 class TestPotentialBoundAtOptimum:
@@ -147,15 +198,17 @@ class TestGuessAndDouble:
         inst = ConfigInstance(
             1, [Request(j, [Configuration([1], point_mass(1))]) for j in range(3)]
         )
-        run = guess_and_double(inst.requests, ConfigBalancer(1), lam0=10.0)
+        # the first request's cost guesses lambda = 1, whose cap 6.84 holds all three
+        run = guess_and_double([(r.id, r) for r in inst.requests], ConfigBalancer(1))
         assert run.phases == 1
         assert [rec.choice for rec in run.records] == [0, 0, 0]
 
     def test_engineered_single_reset(self):
-        # lam0 = 1: cap is ell*tau = log_{3/2}(4)*2 ~ 6.84; nine unit jobs
-        # overflow once, doubling to lam = 2 whose cap 13.7 absorbs the rest
-        reqs = [Request(j, [Configuration([1], point_mass(1))]) for j in range(9)]
-        run = guess_and_double(reqs, ConfigBalancer(1), lam0=1.0)
+        # the first unit job guesses lambda = 1: cap is ell*tau =
+        # log_{3/2}(4)*2 ~ 6.84; nine unit jobs overflow once, doubling to
+        # lam = 2 whose cap 13.7 absorbs the rest
+        reqs = [(j, Request(j, [Configuration([1], point_mass(1))])) for j in range(9)]
+        run = guess_and_double(reqs, ConfigBalancer(1))
         assert run.phases == 2
         assert run.final_lambda == 2.0
         phases = [rec.phase for rec in run.records]
@@ -163,7 +216,7 @@ class TestGuessAndDouble:
         assert len(run.records) == 9  # every request committed exactly once
 
     def test_all_zero_stream_falls_back_to_one(self):
-        zeros = [Request(j, [Configuration([1], point_mass(0))]) for j in range(3)]
+        zeros = [(j, Request(j, [Configuration([1], point_mass(0))])) for j in range(3)]
         run = guess_and_double(zeros, ConfigBalancer(1))
         assert run.final_lambda == 1.0 and run.phases == 1
         assert [rec.lam for rec in run.records] == [1.0, 1.0, 1.0]
@@ -180,7 +233,7 @@ class TestGuessAndDouble:
     def test_zero_first_request_guess(self):
         zero = Request(0, [Configuration([1], point_mass(0))])
         one = Request(1, [Configuration([1], point_mass(1))])
-        run = guess_and_double([zero, one], ConfigBalancer(1))
+        run = guess_and_double([(0, zero), (1, one)], ConfigBalancer(1))
         assert run.final_lambda > 0
         assert len(run.records) == 2
 
@@ -192,7 +245,7 @@ class TestOnlineRelated:
         proxies = related_group_proxies(groups, point_mass(1), 2.0)
         assert proxies[0] == (0.0, pytest.approx(1 / 3), 0.0)
         assert proxies[1] == (0.0, 0.0, 0.25)
-        machine, group_idx, dphi, _ = online_related_step(groups, st, point_mass(1), {})
+        machine, group_idx, dphi, _ = online_related_step(groups, st, {}, proxies)
         assert group_idx == 1
         assert machine == 3  # least loaded in group 2, lowest id
         assert dphi == pytest.approx(1.5 ** 0.125 - 1)
@@ -200,9 +253,8 @@ class TestOnlineRelated:
     def test_single_group_forced(self):
         groups = SmoothedGroups([(1, 2, (0, 1))])
         st = PotentialState.fresh(1, 5.0)
-        machine, group_idx, _, _ = online_related_step(
-            groups, st, point_mass(1), {0: 1.0, 1: 0.5}
-        )
+        proxies = related_group_proxies(groups, point_mass(1), st.tau)
+        machine, group_idx, _, _ = online_related_step(groups, st, {0: 1.0, 1: 0.5}, proxies)
         assert group_idx == 0 and machine == 1
 
 
