@@ -67,8 +67,6 @@ EXIT_VERDICT = 2
 def _fmt(value):
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

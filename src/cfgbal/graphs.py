@@ -1,9 +1,12 @@
-"""Directed-graph helpers: Dijkstra, path enumeration, widest paths.
+"""Directed-graph walks: Dijkstra, path enumeration, widest paths.
 
 Edges are (tail, head, capacity) triples addressed by index, so parallel
 edges are legal. Paths are tuples of edge indices; the canonical order on
 paths is lexicographic on the interleaved (vertex, edge-index) sequence,
 which breaks ties deterministically even between parallel edges.
+
+One Digraph holds the adjacency of an instance's edges, built once. A walk
+over a subset of the edges takes the usable edge ids and skips the rest.
 """
 
 from __future__ import annotations
@@ -11,6 +14,24 @@ from __future__ import annotations
 import heapq
 
 REL_TOL = 1e-12
+
+
+class Digraph:
+    """Adjacency of an edge list: out[u] holds the (head, e) pairs leaving u
+    in canonical (head, e) order, into[v] the (tail, e) pairs entering v in
+    edge order."""
+
+    __slots__ = ("edges", "out", "into")
+
+    def __init__(self, edges):
+        self.edges = edges
+        self.out = {}
+        self.into = {}
+        for e, (tail, head, _) in enumerate(edges):
+            self.out.setdefault(tail, []).append((head, e))
+            self.into.setdefault(head, []).append((tail, e))
+        for lst in self.out.values():
+            lst.sort()
 
 
 def path_key(edges, path):
@@ -24,30 +45,37 @@ def path_key(edges, path):
     return tuple(key)
 
 
-def simple_paths(n_vertices, edges, edge_ids, source, sink):
-    """Yield all simple source-sink paths (edge-index tuples) in canonical
-    order. Exponential in general; callers keep graphs small."""
-    return _dfs_paths(_out_edges(edges, edge_ids), source, sink)
+def simple_paths(g, edge_ids, source, sink):
+    """Yield all simple source-sink paths (edge-index tuples) over edge_ids
+    in canonical order. Exponential in general; callers keep graphs small."""
+    return _dfs_paths(g, set(edge_ids), source, sink)
 
 
-def _out_edges(edges, edge_ids):
-    """{tail: [(head, edge index)]} in canonical (head, edge index) order."""
-    adj = {}
-    for e in edge_ids:
-        tail, head, _ = edges[e]
-        adj.setdefault(tail, []).append((head, e))
-    for lst in adj.values():
-        lst.sort(key=lambda he: (he[0], he[1]))
-    return adj
+def reachable(g, edge_ids, source, sink):
+    """Whether the edges edge_ids hold a directed source-sink path."""
+    allowed = set(edge_ids)
+    seen = {source}
+    stack = [source]
+    while stack:
+        u = stack.pop()
+        if u == sink:
+            return True
+        for v, e in g.out.get(u, ()):
+            if e in allowed and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return False
 
 
-def _dfs_paths(adj, source, sink, usable=None):
-    """Yield the simple source-sink paths over the edges (u, v, e) with
-    usable(u, v, e) true, in canonical order: a depth-first search with an
-    explicit stack, so path length is not bounded by the recursion limit."""
+def _dfs_paths(g, allowed, source, sink, usable=None):
+    """Yield the simple source-sink paths over the edges (u, v, e) with e in
+    allowed and usable(u, v, e) true, in canonical order: a depth-first
+    search with an explicit stack, so path length is not bounded by the
+    recursion limit."""
     if source == sink:
         yield ()
         return
+    adj = g.out
     path = []
     visited = {source}
     stack = [(source, iter(adj.get(source, ())))]
@@ -61,7 +89,7 @@ def _dfs_paths(adj, source, sink, usable=None):
                 visited.remove(u)
             continue
         v, e = step
-        if v in visited or (usable is not None and not usable(u, v, e)):
+        if v in visited or e not in allowed or (usable is not None and not usable(u, v, e)):
             continue
         if v == sink:
             yield (*path, e)
@@ -71,13 +99,10 @@ def _dfs_paths(adj, source, sink, usable=None):
         stack.append((v, iter(adj.get(v, ()))))
 
 
-def dijkstra_to_sink(n_vertices, edges, edge_ids, weights, sink):
-    """Shortest-distance-to-sink for every vertex under nonnegative edge
-    weights (weights keyed by edge index)."""
-    radj = {}
-    for e in edge_ids:
-        tail, head, _ = edges[e]
-        radj.setdefault(head, []).append((tail, e))
+def dijkstra_to_sink(g, edge_ids, weights, sink):
+    """Shortest-distance-to-sink for every vertex over edge_ids under
+    nonnegative edge weights (weights keyed by edge index)."""
+    allowed = set(edge_ids)
     dist = {sink: 0.0}
     heap = [(0.0, sink)]
     done = set()
@@ -86,7 +111,9 @@ def dijkstra_to_sink(n_vertices, edges, edge_ids, weights, sink):
         if v in done:
             continue
         done.add(v)
-        for u, e in radj.get(v, ()):
+        for u, e in g.into.get(v, ()):
+            if e not in allowed:
+                continue
             nd = d + weights[e]
             if nd < dist.get(u, float("inf")):
                 dist[u] = nd
@@ -94,14 +121,14 @@ def dijkstra_to_sink(n_vertices, edges, edge_ids, weights, sink):
     return dist
 
 
-def lex_shortest_path(n_vertices, edges, edge_ids, weights, source, sink):
-    """Minimum-weight simple source-sink path, canonically smallest among
-    minimizers; None if the sink is unreachable.
+def lex_shortest_path(g, edge_ids, weights, source, sink):
+    """Minimum-weight simple source-sink path over edge_ids, canonically
+    smallest among minimizers; None if the sink is unreachable.
 
     Works from exact distances-to-sink and walks tight edges depth first in
     canonical order, backtracking if a zero-weight cycle blocks the walk.
     """
-    dist = dijkstra_to_sink(n_vertices, edges, edge_ids, weights, sink)
+    dist = dijkstra_to_sink(g, edge_ids, weights, sink)
     if source not in dist:
         return None
 
@@ -112,16 +139,13 @@ def lex_shortest_path(n_vertices, edges, edge_ids, weights, source, sink):
         tol = REL_TOL * max(1.0, abs(target))
         return abs(weights[e] + dist[v] - target) <= tol
 
-    return next(_dfs_paths(_out_edges(edges, edge_ids), source, sink, tight), None)
+    return next(_dfs_paths(g, set(edge_ids), source, sink, tight), None)
 
 
-def widest_path_value(n_vertices, edges, edge_ids, source, sink):
+def widest_path_value(g, source, sink):
     """Maximum over source-sink paths of the minimum capacity along the path
     (bottleneck shortest path); None if unreachable."""
-    adj = {}
-    for e in edge_ids:
-        tail, head, cap = edges[e]
-        adj.setdefault(tail, []).append((head, float(cap)))
+    edges = g.edges
     best = {source: float("inf")}
     heap = [(-float("inf"), source)]
     done = set()
@@ -132,8 +156,8 @@ def widest_path_value(n_vertices, edges, edge_ids, source, sink):
         done.add(u)
         if u == sink:
             return best[u]
-        for v, cap in adj.get(u, ()):
-            w = min(best[u], cap)
+        for v, e in g.out.get(u, ()):
+            w = min(best[u], float(edges[e][2]))
             if w > best.get(v, 0.0):
                 best[v] = w
                 heapq.heappush(heap, (-w, v))

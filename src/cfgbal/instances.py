@@ -27,7 +27,14 @@ from .distributions import (
     point_mass,
     scaled_bernoulli,
 )
-from .graphs import lex_shortest_path, path_key, simple_paths, widest_path_value
+from .graphs import (
+    Digraph,
+    lex_shortest_path,
+    path_key,
+    reachable,
+    simple_paths,
+    widest_path_value,
+)
 
 
 class NoFeasiblePath(ValidationError):
@@ -341,6 +348,7 @@ class RoutingInstance:
             eds.append((tail, head, cap))
         self.edges = tuple(eds)
         self.capacities = tuple(float(cap) for _, _, cap in eds)
+        self.graph = Digraph(self.edges)
         reqs = []
         for source, sink, law in requests:
             source, sink = int(source), int(sink)
@@ -351,7 +359,7 @@ class RoutingInstance:
             reqs.append((source, sink, law))
         self.requests = tuple(reqs)
         for j, (s, t, _) in enumerate(self.requests):
-            if not self._reachable(s, t):
+            if not reachable(self.graph, range(self.m), s, t):
                 raise NoFeasiblePath(f"request {j}: no directed path {s} -> {t}")
 
     @property
@@ -367,26 +375,7 @@ class RoutingInstance:
         """E[X_j] over the widest source-sink capacity: the least expected
         bottleneck load any path can give request j."""
         source, sink, law = self.requests[j]
-        width = widest_path_value(self.vertices, self.edges, range(self.m), source, sink)
-        return float(law.mean()) / width
-
-    def _reachable(self, s, t, edge_ids=None):
-        adj = {}
-        ids = range(len(self.edges)) if edge_ids is None else edge_ids
-        for e in ids:
-            tail, head, _ = self.edges[e]
-            adj.setdefault(tail, []).append(head)
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            if u == t:
-                return True
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return False
+        return float(law.mean()) / widest_path_value(self.graph, source, sink)
 
     def __eq__(self, other):
         if not isinstance(other, RoutingInstance):
@@ -557,7 +546,7 @@ class RoutingRequestView:
         caps = instance.capacities
         mean, t = float(self.law.mean()), float(tau)
         self.edge_ids = tuple(e for e in range(instance.m) if mean / caps[e] <= t)
-        if not instance._reachable(self.source, self.sink, self.edge_ids):
+        if not reachable(instance.graph, self.edge_ids, self.source, self.sink):
             raise NoFeasiblePath(
                 f"request {index}: admissible edges disconnect {self.source} -> {self.sink}"
             )
@@ -593,7 +582,7 @@ class RoutingRequestView:
                 continue
             seen_caps.add(cap)
             sub = tuple(e for e in self.edge_ids if caps[e] >= cap)
-            path = lex_shortest_path(r.vertices, r.edges, sub, weights, self.source, self.sink)
+            path = lex_shortest_path(r.graph, sub, weights, self.source, self.sink)
             if path is None:
                 continue
             value = score(path)
@@ -607,13 +596,7 @@ class RoutingRequestView:
     def paths(self):
         """Yield simple source-sink paths as tuples of edge ids, in
         lexicographic order of the (vertex, edge) sequence."""
-        yield from simple_paths(
-            self.instance.vertices,
-            self.instance.edges,
-            self.edge_ids,
-            self.source,
-            self.sink,
-        )
+        yield from simple_paths(self.instance.graph, self.edge_ids, self.source, self.sink)
 
 
 def routing_to_config(r, tau):

@@ -426,8 +426,7 @@ def solve_lpp_column_generation(r, tau):
     except NoFeasiblePath as exc:
         return Infeasible(str(exc))
     columns = [
-        {lex_shortest_path(r.vertices, r.edges, v.edge_ids, v.truncated, v.source, v.sink)}
-        for v in views
+        {lex_shortest_path(r.graph, v.edge_ids, v.truncated, v.source, v.sink)} for v in views
     ]
 
     for _ in range(CG_MAX_ROUNDS):

@@ -371,28 +371,6 @@ class RestartPolicy:
         of the decision tree on exact OPT loads."""
         sim.walk(self.decide, self.after, self.oracle.zero_loads)
 
-    def run(self, inst, realize):
-        """Execute one trajectory; realize(request id, law) -> a support
-        value of the chosen configuration's law (compared as floats).
-
-        Returns the trace as (request id, config id, support value) records.
-        """
-        remaining = self.oracle.all_ids
-        opt_loads = self.oracle.zero_loads
-        trace = []
-        while remaining:
-            j, c, opt_loads = self.decide(remaining, None, opt_loads)
-            law = self.oracle.by_id[j].configs[c].law
-            x = float(realize(j, law))
-            values = [float(v) for v, _ in law.support]
-            if x not in values:
-                raise ValidationError(f"request {j} cannot realize {x} under config {c}")
-            k = values.index(x)
-            trace.append((j, c, law.support[k][0]))
-            opt_loads = self.after(opt_loads, j, c, k)
-            remaining = remaining - {j}
-        return trace
-
 
 def restart_policy(inst, tau, max_states=2_000_000):
     """Build the restart policy and compute its exact value."""

@@ -225,7 +225,7 @@ def brute_force_min_dphi(r, state, j):
     from cfgbal.graphs import simple_paths
 
     best = None
-    for path in simple_paths(r.vertices, r.edges, edge_ids, source, sink):
+    for path in simple_paths(r.graph, edge_ids, source, sink):
         c_min = min(float(r.edges[e][2]) for e in path)
         exc = float(law.scale(1.0 / c_min).exceptional_mean(tau))
         d = 1.5 ** ((state.loads[0] + exc) / tau) - 1.5 ** (state.loads[0] / tau)
@@ -709,9 +709,9 @@ def reference_simple_paths(n_vertices, edges, edge_ids, source, sink):
 def reference_lex_shortest_path(n_vertices, edges, edge_ids, weights, source, sink):
     """Canonically smallest minimum-weight path by a recursive walk of the
     tight edges with backtracking."""
-    from cfgbal.graphs import REL_TOL, dijkstra_to_sink
+    from cfgbal.graphs import REL_TOL, Digraph, dijkstra_to_sink
 
-    dist = dijkstra_to_sink(n_vertices, edges, edge_ids, weights, sink)
+    dist = dijkstra_to_sink(Digraph(edges), edge_ids, weights, sink)
     if source not in dist:
         return None
     adj = _reference_adjacency(edges, edge_ids)

@@ -30,6 +30,6 @@ class TestLongPaths:
 
     def test_chain_simple_paths(self):
         r = chain(CHAIN)
-        paths = list(simple_paths(r.vertices, r.edges, range(CHAIN), 0, CHAIN))
+        paths = list(simple_paths(r.graph, range(CHAIN), 0, CHAIN))
         assert paths == [tuple(range(CHAIN))]
 

@@ -210,19 +210,6 @@ class TestRestartPolicy:
             simulate_policy(policy.inst, policy, 200, 0)
             assert policy.committed_configs == committed
 
-    def test_run_trace_replay(self):
-        inst = gen_adaptivity_gap_instance(4, 2)
-        policy, _ = restart_policy(inst, Fraction(11, 4))
-        # drive with the all-zero realization of the stochastic job
-        values = {0: 0, 1: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 4)}
-
-        def realize(j, law):
-            return values[j]
-
-        trace = policy.run(policy.inst, realize)
-        assert len(trace) == 4
-        assert trace[0][0] == 0  # stochastic job first
-
 
 class TestClairvoyanceAdversary:
     @pytest.mark.parametrize("m", [4, 9, 16])

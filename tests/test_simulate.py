@@ -229,17 +229,9 @@ class TestRestartSimulation:
         )
         policy, value = restart_policy(inst, 2)
         assert value.makespan == 2 and value.exceptional == 1
-        assert policy.run(policy.inst, lambda j, law: 2 if j == 0 else 1) == [(0, 0, 2), (1, 0, 1)]
         rep = simulate_policy(policy.inst, policy, 1000, 3, tau=2.0)
         assert rep.resource_means == [pytest.approx(2.0, abs=0.1), 0.0]
         assert rep.mean_exceptional == pytest.approx(1.0, abs=0.1)
-
-    def test_run_reads_realizations_as_support_points(self):
-        policy = RestartPolicy(self.instance(), 2)
-        trace = policy.run(policy.inst, lambda j, law: 1 / 3)
-        assert [v for _, _, v in trace] == [Fraction(1, 3)] * 3
-        with pytest.raises(ValidationError):
-            policy.run(policy.inst, lambda j, law: 0.5)
 
 
 class TestBatchedMatchesReference:
