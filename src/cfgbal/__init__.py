@@ -41,7 +41,6 @@ from .online import (
     PotentialState,
     guess_and_double,
     nonclairvoyant_sqrt_list,
-    online_related_step,
     online_route_step,
     online_step,
     potential,

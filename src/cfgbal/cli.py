@@ -224,11 +224,15 @@ def cmd_online(args):
         ("final_lambda", run.final_lambda),
         ("phases", run.phases),
     ]
+    width = len(run.state.loads)
     for rec in run.records:
-        if isinstance(rec.proxy, dict):
-            proxy = "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in sorted(rec.proxy.items())) + "}"
+        if args.algo == "routing":
+            proxy = "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in sorted(rec.proxy)) + "}"
         else:
-            proxy = "(" + ", ".join(_fmt(v) for v in rec.proxy) + ")"
+            dense = [0.0] * width
+            for i, x in rec.proxy:
+                dense[i] = x
+            proxy = "(" + ", ".join(_fmt(v) for v in dense) + ")"
         pairs.append(
             (
                 f"request_{rec.request}",

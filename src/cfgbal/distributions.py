@@ -107,10 +107,6 @@ class DiscreteDistribution:
                 raise ValidationError(f"probabilities sum to {total}, expected 1")
         self.support = tuple(pairs)
 
-    @property
-    def is_exact(self):
-        return all_rational([x for pair in self.support for x in pair])
-
     def exact(self):
         """This distribution with all values and probabilities exact (ints
         or Fractions): itself when they already are (it is immutable), else
@@ -120,9 +116,6 @@ class DiscreteDistribution:
         return DiscreteDistribution(
             [(as_exact(v), as_exact(p)) for v, p in self.support]
         )
-
-    def values(self):
-        return tuple(v for v, _ in self.support)
 
     def mean(self):
         return sum(v * p for v, p in self.support)

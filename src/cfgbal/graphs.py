@@ -1,4 +1,4 @@
-"""Directed-graph walks: Dijkstra, path enumeration, widest paths.
+"""Directed-graph walks: Dijkstra, lex-shortest paths, widest paths.
 
 Edges are (tail, head, capacity) triples addressed by index, so parallel
 edges are legal. Paths are tuples of edge indices; the canonical order on
@@ -45,12 +45,6 @@ def path_key(edges, path):
     return tuple(key)
 
 
-def simple_paths(g, edge_ids, source, sink):
-    """Yield all simple source-sink paths (edge-index tuples) over edge_ids
-    in canonical order. Exponential in general; callers keep graphs small."""
-    return _dfs_paths(g, set(edge_ids), source, sink)
-
-
 def reachable(g, edge_ids, source, sink):
     """Whether the edges edge_ids hold a directed source-sink path."""
     allowed = set(edge_ids)
@@ -67,7 +61,7 @@ def reachable(g, edge_ids, source, sink):
     return False
 
 
-def _dfs_paths(g, allowed, source, sink, usable=None):
+def _dfs_paths(g, allowed, source, sink, usable):
     """Yield the simple source-sink paths over the edges (u, v, e) with e in
     allowed and usable(u, v, e) true, in canonical order: a depth-first
     search with an explicit stack, so path length is not bounded by the
@@ -89,7 +83,7 @@ def _dfs_paths(g, allowed, source, sink, usable=None):
                 visited.remove(u)
             continue
         v, e = step
-        if v in visited or e not in allowed or (usable is not None and not usable(u, v, e)):
+        if v in visited or e not in allowed or not usable(u, v, e):
             continue
         if v == sink:
             yield (*path, e)

@@ -32,7 +32,6 @@ from .graphs import (
     lex_shortest_path,
     path_key,
     reachable,
-    simple_paths,
     widest_path_value,
 )
 
@@ -529,8 +528,8 @@ class RoutingRequestView:
     The admissible edges are E_j = {e : E[X_j] / c_e <= tau}, tested in
     floats; truncated[e] is E[X_ej^T] for each admissible edge, priced once
     per distinct capacity; the exceptional part of a path sits at its
-    bottleneck edge. Paths are enumerated lazily, never materialized as a
-    configuration list.
+    bottleneck edge. Paths are found by walks over the admissible edges,
+    never materialized as a configuration list.
     """
 
     __slots__ = (
@@ -592,11 +591,6 @@ class RoutingRequestView:
         if best is None:
             return None
         return best[1], best[2]
-
-    def paths(self):
-        """Yield simple source-sink paths as tuples of edge ids, in
-        lexicographic order of the (vertex, edge) sequence."""
-        yield from simple_paths(self.instance.graph, self.edge_ids, self.source, self.sink)
 
 
 def routing_to_config(r, tau):

@@ -3,11 +3,11 @@
 The potential of a load vector L (entry 0 is the virtual exceptional
 resource) at threshold tau is sum_i (3/2)^(L_i / tau). Each arriving request
 commits the configuration minimizing the potential increase of its
-deterministic proxy vector; a commitment that would push any entry past
-ell * tau (ell = log_{3/2}(2m + 2)) is refused, certifying E[OPT] > lambda.
-The guess-and-double wrapper turns that certificate into a parameter-free
-algorithm. Proxy loads are expectations; realized loads never enter the
-potential.
+deterministic proxy, a list of (index, x) increments to the load vector; a
+commitment that would push any entry past ell * tau (ell = log_{3/2}(2m + 2))
+is refused, certifying E[OPT] > lambda. The guess-and-double wrapper turns
+that certificate into a parameter-free algorithm. Proxy loads are
+expectations; realized loads never enter the potential.
 """
 
 from __future__ import annotations
@@ -58,13 +58,19 @@ class PotentialState:
         return PotentialState(loads, self.tau, self.ell)
 
 
-def delta_phi(loads, tau, proxy):
-    """Potential increase from adding the proxy vector to the loads."""
+def delta_phi(loads, tau, increments):
+    """Potential increase from adding each (index, x) of increments to the
+    loads; math.inf when a term overflows, since that entry is then far past
+    ell * tau and admit refuses it."""
     t = float(tau)
     inc = 0.0
-    for L, x in zip(loads, proxy):
+    for i, x in increments:
         if x:
-            inc += 1.5 ** ((L + x) / t) - 1.5 ** (L / t)
+            L = loads[i]
+            try:
+                inc += 1.5 ** ((L + x) / t) - 1.5 ** (L / t)
+            except OverflowError:
+                return math.inf
     return inc
 
 
@@ -72,7 +78,8 @@ def argmin_step(state, proxies):
     """Pick the proxy minimizing delta-phi (ties to the lowest index) and
     commit it unless some entry would exceed ell * tau.
 
-    Returns (index, dphi, new_state) or None as the Fail verdict.
+    Returns (index, dphi, new_state, increments) with increments the
+    admitted proxy, or None as the Fail verdict.
     """
     best = None
     for idx, proxy in enumerate(proxies):
@@ -80,31 +87,28 @@ def argmin_step(state, proxies):
         if best is None or d < best[1]:
             best = (idx, d)
     idx, d = best
-    new = state.admit(enumerate(proxies[idx]))
+    new = state.admit(proxies[idx])
     if new is None:
         return None
-    return idx, d, new
+    return idx, d, new, proxies[idx]
 
 
 def request_proxies(request, tau):
-    """Deterministic proxy vectors (x_0, x_1, ..., x_m) of a request's
-    configurations at threshold tau, in floats: each configuration's
-    exceptional part on the virtual resource 0 and its truncated means
-    elsewhere, as Configuration.tails prices them."""
+    """Deterministic proxies of a request's configurations at threshold tau
+    as (index, x) increments in floats: each configuration's exceptional
+    part on the virtual resource 0 and its truncated means on resources
+    i + 1, as Configuration.tails prices them."""
     proxies = []
     for config in request.configs:
         exceptional, truncated = config.tails(tau)
-        x = [0.0] * (len(config.multipliers) + 1)
-        x[0] = float(exceptional)
-        for i, v in truncated:
-            x[i + 1] = float(v)
-        proxies.append(tuple(x))
+        proxies.append([(0, float(exceptional))] + [(i + 1, float(v)) for i, v in truncated])
     return proxies
 
 
 def online_step(state, request):
-    """One step of online configuration balancing; None means Fail
-    (certifying E[OPT] > lambda = tau / 2)."""
+    """One step of online configuration balancing: (config index, dphi, new
+    state, increments), or None for Fail (certifying E[OPT] > lambda =
+    tau / 2)."""
     return argmin_step(state, request_proxies(request, state.tau))
 
 
@@ -143,8 +147,9 @@ def guess_and_double(stream, inner):
 
     stream holds (request id, request) pairs; each record carries the id.
     The inner algorithm provides m, min_expected_cost(request) and
-    step(state, request), which returns (choice, proxy, dphi, new state)
-    or None on Fail."""
+    step(state, request), which returns (choice, dphi, new state,
+    increments) or None on Fail; each record keeps the admitted increments
+    as its proxy."""
     stream = list(stream)
     if not stream:
         raise ValidationError("empty request stream")
@@ -164,7 +169,7 @@ def guess_and_double(stream, inner):
             phase += 1
             state = PotentialState.fresh(inner.m, lam)
             continue
-        choice, proxy, dphi, state = step
+        choice, dphi, state, proxy = step
         records.append(TraceRecord(request_id, phase, lam, choice, proxy, dphi))
         idx += 1
     return OnlineRun(records, state, lam, phase + 1)
@@ -181,12 +186,7 @@ class ConfigBalancer:
         return min(float(c.expected_max()) for c in request.configs)
 
     def step(self, state, request):
-        proxies = request_proxies(request, state.tau)
-        result = argmin_step(state, proxies)
-        if result is None:
-            return None
-        idx, dphi, new_state = result
-        return idx, proxies[idx], dphi, new_state
+        return online_step(state, request)
 
 
 def run_online_config(inst):
@@ -200,36 +200,16 @@ def run_online_config(inst):
 
 
 def related_group_proxies(groups, law, tau):
-    """Proxy vectors of the group configurations: choosing group c puts the
-    job's exceptional part (at speed s_c) on the virtual resource and
-    1/m_c of its truncated part on resource c."""
+    """Proxies of the group configurations as (index, x) increments:
+    choosing group c puts the job's exceptional part (at speed s_c) on the
+    virtual resource and 1/m_c of its truncated part on resource c + 1."""
     proxies = []
-    m_prime = len(groups)
     for c, (speed, count, _) in enumerate(groups):
         factor = 1.0 / float(speed)
-        x = [0.0] * (m_prime + 1)
-        x[0] = float(law.exceptional_mean(tau, factor))
-        x[c + 1] = float(law.truncated_mean(tau, factor)) / count
-        proxies.append(tuple(x))
+        exc = float(law.exceptional_mean(tau, factor))
+        trunc = float(law.truncated_mean(tau, factor))
+        proxies.append([(0, exc), (c + 1, trunc / count)])
     return proxies
-
-
-def online_related_step(groups, state, machine_loads, proxies):
-    """Pick a group through the potential and then the least-loaded machine
-    of that group (by realized truncated load, lowest id on ties).
-
-    machine_loads maps a machine id of groups -> current realized truncated
-    load; proxies are the job's related_group_proxies(groups, job,
-    state.tau). Returns (machine id, group index, dphi, new state) or None
-    on Fail.
-    """
-    result = argmin_step(state, proxies)
-    if result is None:
-        return None
-    group_idx, dphi, new_state = result
-    _, _, ids = groups.groups[group_idx]
-    machine = min(ids, key=lambda i: (machine_loads.get(i, 0.0), i))
-    return machine, group_idx, dphi, new_state
 
 
 class RelatedBalancer:
@@ -270,11 +250,12 @@ class RelatedBalancer:
         if tau != self.loads_tau:
             self.loads_tau = tau
             self.loads = self.truncated_loads(tau)
-        proxies = related_group_proxies(self.groups, job, tau)
-        result = online_related_step(self.groups, state, self.loads, proxies)
+        result = argmin_step(state, related_group_proxies(self.groups, job, tau))
         if result is None:
             return None
-        machine, group_idx, dphi, new_state = result
+        group_idx, dphi, new_state, increments = result
+        _, _, ids = self.groups.groups[group_idx]
+        machine = min(ids, key=lambda i: (self.loads.get(i, 0.0), i))
         job_index = len(self.history)
         value = float(self.realize(job_index, job))
         scaled = value / self.speed_of[machine]
@@ -282,7 +263,7 @@ class RelatedBalancer:
         if scaled < tau:
             # same per-machine order of additions as a rescan
             self.loads[machine] = self.loads.get(machine, 0.0) + scaled
-        return machine, proxies[group_idx], dphi, new_state
+        return machine, dphi, new_state, increments
 
 
 def run_online_related(related, realize):
@@ -299,8 +280,9 @@ def run_online_related(related, realize):
 
 def online_route_step(r, state, j):
     """Choose the admissible path minimizing the potential increase; ties go
-    to the canonically smallest path. None (Fail) when no admissible path
-    exists or the chosen path breaches the ell*tau cap."""
+    to the canonically smallest path. Returns (path, dphi, new state,
+    increments), or None (Fail) when no admissible path exists or the chosen
+    path breaches the ell*tau cap."""
     tau = state.tau
     try:
         view = RoutingRequestView(r, j, tau)
@@ -324,10 +306,11 @@ def online_route_step(r, state, j):
     if best is None:
         return None
     path, dphi = best
-    new = state.admit([(0, view.exceptional(path))] + [(e + 1, trunc[e]) for e in path])
+    increments = [(0, view.exceptional(path))] + [(e + 1, trunc[e]) for e in path]
+    new = state.admit(increments)
     if new is None:
         return None
-    return path, dphi, new
+    return path, dphi, new, increments
 
 
 class RouteBalancer:
@@ -341,14 +324,7 @@ class RouteBalancer:
         return self.r.min_expected_cost(j)
 
     def step(self, state, j):
-        result = online_route_step(self.r, state, j)
-        if result is None:
-            return None
-        path, dphi, new_state = result
-        proxy = {0: new_state.loads[0] - state.loads[0]}
-        for e in path:
-            proxy[e + 1] = new_state.loads[e + 1] - state.loads[e + 1]
-        return path, proxy, dphi, new_state
+        return online_route_step(self.r, state, j)
 
 
 def run_online_routing(r):

@@ -44,10 +44,9 @@ def request_stream(seed, request):
 
 def uniform_table(seed, requests, trials):
     """Array [trials, len(requests)] of the per-(trial, request) uniforms;
-    requests lists request ids, or is a count n for the ids 0..n-1."""
-    ids = range(requests) if isinstance(requests, (int, np.integer)) else requests
-    table = np.empty((trials, len(ids)))
-    for col, j in enumerate(ids):
+    requests lists request ids."""
+    table = np.empty((trials, len(requests)))
+    for col, j in enumerate(requests):
         table[:, col] = request_stream(seed, j).random(trials)
     return table
 

@@ -105,7 +105,7 @@ def full_path_lp(r, tau):
         return Infeasible(str(exc))
     columns = []
     for j, view in enumerate(views):
-        for path in view.paths():
+        for path in reference_simple_paths(r.vertices, r.edges, view.edge_ids, view.source, view.sink):
             columns.append((j, path))
     req_rows = [{k: 1.0 for k, (jj, _) in enumerate(columns) if jj == j} for j in range(r.n)]
     t = float(tau)
@@ -222,10 +222,8 @@ def brute_force_min_dphi(r, state, j):
     edge_ids = tuple(
         e for e, (_, _, cap) in enumerate(r.edges) if mean / float(cap) <= tau
     )
-    from cfgbal.graphs import simple_paths
-
     best = None
-    for path in simple_paths(r.graph, edge_ids, source, sink):
+    for path in reference_simple_paths(r.vertices, r.edges, edge_ids, source, sink):
         c_min = min(float(r.edges[e][2]) for e in path)
         exc = float(law.scale(1.0 / c_min).exceptional_mean(tau))
         d = 1.5 ** ((state.loads[0] + exc) / tau) - 1.5 ** (state.loads[0] / tau)
@@ -549,7 +547,7 @@ def reference_simulate_policy(inst, run, trials, seed, tau=None):
     """SimulationReport of run(inst, realize) called once per trial."""
     from cfgbal.simulate import SimulationReport, law_quantiles, uniform_table
 
-    uniforms = uniform_table(seed, inst.n, trials)
+    uniforms = uniform_table(seed, range(inst.n), trials)
     quantile_cache = {}
 
     def realized(trial, j, law):
@@ -597,7 +595,7 @@ def reference_simulate_adaptive_config(inst, policy_fn, trials, seed, tau=None):
     """Trial-wise simulation of policy_fn(remaining ids, float loads)."""
     from cfgbal.simulate import SimulationReport, law_quantiles, uniform_table
 
-    uniforms = uniform_table(seed, inst.n, trials)
+    uniforms = uniform_table(seed, range(inst.n), trials)
     by_id = {r.id: r for r in inst.requests}
     makespans = np.empty(trials)
     exc_acc = np.zeros(trials)

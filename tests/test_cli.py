@@ -185,6 +185,44 @@ class TestReports:
         assert run_cli("online", "--in", str(src), "--algo", "config", "--report", str(rep)) == 0
         assert rep.read_text().startswith("# online report")
 
+    def test_online_routing_records_print_the_admitted_increments(self, tmp_path):
+        # the loads of edge 3 add up to 1.1 and 1.5, so a loads difference
+        # would print 0.10000000000000009 and 0.3999999999999999
+        src = tmp_path / "routes.json"
+        src.write_text(json.dumps({
+            "kind": "routing", "vertices": 3,
+            "edges": [[0, 1, 1], [0, 1, 2], [1, 2, 1], [0, 2, 1]],
+            "requests": [
+                [0, 2, [[1.0, 1.0]]], [0, 2, [[0.1, 1.0]]], [0, 2, [[0.2, 0.5], [0.6, 0.5]]],
+                [0, 1, [[0.7, 1.0]]], [0, 2, [[0.3, 1.0]]],
+            ],
+        }))
+        rep = tmp_path / "online.txt"
+        assert run_cli("online", "--in", str(src), "--algo", "routing", "--report", str(rep)) == 0
+        records = [line for line in rep.read_text().splitlines() if line.startswith("request_")]
+        assert records == [
+            "request_0: phase=0 lambda=1.0 choice=(3,) proxy={0: 0.0, 4: 1.0} dphi=0.22474487139158894",
+            "request_1: phase=0 lambda=1.0 choice=(3,) proxy={0: 0.0, 4: 0.1} dphi=0.025082963147479154",
+            "request_2: phase=0 lambda=1.0 choice=(3,) proxy={0: 0.0, 4: 0.4} dphi=0.10557517087569912",
+            "request_3: phase=0 lambda=1.0 choice=(1,) proxy={0: 0.0, 2: 0.35} dphi=0.07353441221907286",
+            "request_4: phase=0 lambda=1.0 choice=(3,) proxy={0: 0.0, 4: 0.3} dphi=0.08499374577355989",
+        ]
+
+    @pytest.mark.parametrize("algo", ["config", "related"])
+    def test_cost_jump_doubles_instead_of_overflowing(self, tmp_path, capsys, algo):
+        # at the first guess lambda = 1 the second job's potential term
+        # 1.5 ** (100000 / 2) overflows a float; the stream doubles past it
+        src = tmp_path / "jump.json"
+        src.write_text(json.dumps({"kind": "related", "speeds": [1], "jobs": [[[1, 1]], [[100000, 1]]]}))
+        rep = tmp_path / "online.txt"
+        assert run_cli("online", "--in", str(src), "--algo", algo, "--report", str(rep)) == 0
+        assert capsys.readouterr().err == ""
+        lines = rep.read_text().splitlines()
+        assert "final_lambda: 16384.0" in lines and "phases: 15" in lines
+        assert lines[-1] == (
+            "request_1: phase=14 lambda=16384.0 choice=0 proxy=(100000.0, 0.0) dphi=2.446576127207461"
+        )
+
     def test_simulate_csv(self, tmp_path):
         src = tmp_path / "inst.json"
         run_cli("gen", "--kind", "gap", "--m", "2", "--tau", "2", "--out", str(src))

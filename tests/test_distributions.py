@@ -134,10 +134,6 @@ class TestSampling:
 
 
 class TestExactMode:
-    def test_is_exact(self):
-        assert d((0, Fraction(1, 2)), (1, Fraction(1, 2))).is_exact
-        assert not d((0.5, 0.5), (1, 0.5)).is_exact
-
     def test_exact_keeps_ints(self):
         law = d((0, Fraction(1, 2)), (2, Fraction(1, 2)))
         assert law.exact() is law
@@ -147,7 +143,7 @@ class TestExactMode:
     def test_exact_conversion_roundtrip(self):
         dist = d((0.5, 0.25), (1.5, 0.75))
         ex = dist.exact()
-        assert ex.is_exact
+        assert ex.exact() is ex
         assert ex.mean() == Fraction(0.5) * Fraction(0.25) + Fraction(1.5) * Fraction(0.75)
 
 

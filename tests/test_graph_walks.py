@@ -1,6 +1,6 @@
-"""Hypothesis differential test of the walks of cfgbal.graphs (simple paths,
-reachability, lex-shortest and widest paths) against the recursive
-reference walks in tests/conftest.py."""
+"""Hypothesis differential test of the walks of cfgbal.graphs (reachability,
+lex-shortest and widest paths) against the recursive reference walks in
+tests/conftest.py."""
 
 import math
 from fractions import Fraction
@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgbal.graphs import Digraph, lex_shortest_path, reachable, simple_paths, widest_path_value
+from cfgbal.graphs import Digraph, lex_shortest_path, reachable, widest_path_value
 
 from conftest import reference_lex_shortest_path, reference_simple_paths
 
@@ -37,7 +37,6 @@ def test_walks_match_recursive_reference(graph):
     nv, edges, ids, weights, source, sink = graph
     g = Digraph(edges)
     paths = reference_simple_paths(nv, edges, ids, source, sink)
-    assert list(simple_paths(g, ids, source, sink)) == paths
     assert reachable(g, ids, source, sink) == bool(paths)
     best = lex_shortest_path(g, ids, weights, source, sink)
     assert best == reference_lex_shortest_path(nv, edges, ids, weights, source, sink)

@@ -2,7 +2,6 @@
 tests/test_graph_walks.py compares them with the recursive walks."""
 
 from cfgbal.distributions import point_mass
-from cfgbal.graphs import simple_paths
 from cfgbal.instances import RoutingInstance
 from cfgbal.offline import offline_routing
 from cfgbal.online import run_online_routing
@@ -27,9 +26,4 @@ class TestLongPaths:
     def test_chain_routes_online(self):
         run = run_online_routing(chain(CHAIN))
         assert run.assignment() == {0: tuple(range(CHAIN))}
-
-    def test_chain_simple_paths(self):
-        r = chain(CHAIN)
-        paths = list(simple_paths(r.graph, range(CHAIN), 0, CHAIN))
-        assert paths == [tuple(range(CHAIN))]
 

@@ -28,7 +28,14 @@ from cfgbal.instance_io import (
     write_instance,
 )
 
-from conftest import tiny_rng, tiny_suite
+from conftest import reference_simple_paths, tiny_rng, tiny_suite
+
+
+def paths(view):
+    """The simple source-sink paths over a view's admissible edges, in
+    canonical order."""
+    r = view.instance
+    return reference_simple_paths(r.vertices, r.edges, view.edge_ids, view.source, view.sink)
 
 
 def triangle(demand=None):
@@ -80,12 +87,12 @@ class TestRoutingView:
         views = routing_to_config(triangle(), Fraction(3, 2))
         # cap-1/2 edge has E[X_e] = 2 > 3/2
         assert views[0].edge_ids == (0, 1)
-        assert list(views[0].paths()) == [(0, 1)]
+        assert paths(views[0]) == [(0, 1)]
 
     def test_all_admissible(self):
         views = routing_to_config(triangle(), 3)
         assert views[0].edge_ids == (0, 1, 2)
-        assert list(views[0].paths()) == [(0, 1), (2,)]
+        assert paths(views[0]) == [(0, 1), (2,)]
 
     def test_source_equals_sink_rejected(self):
         with pytest.raises(ValidationError):
@@ -104,7 +111,7 @@ class TestRoutingView:
         )
         views = routing_to_config(r, 10)
         # canonical order is lexicographic on the vertex sequence
-        assert list(views[0].paths()) == [
+        assert paths(views[0]) == [
             (0, 5, 3),    # 0-1-2-3
             (0, 2),       # 0-1-3
             (1, 3),       # 0-2-3
@@ -134,7 +141,7 @@ class TestRoutingView:
             views = routing_to_config(r, 100)
             for view in views:
                 expect = dfs_paths(r, view.edge_ids, view.source, view.sink)
-                assert sorted(view.paths()) == expect
+                assert sorted(paths(view)) == expect
 
 
 class TestSmoothing:

@@ -320,7 +320,7 @@ class TestOneAdmissibilityRule:
         r = RoutingInstance(2, [(0, 1, 3)], [(0, 1, point_mass(1))])
         tau = 1 / 3
         assert routing_to_config(r, tau)[0].edge_ids == (0,)
-        path, _, _ = online_route_step(r, PotentialState.fresh(1, tau / 2), 0)
+        path, _, _, _ = online_route_step(r, PotentialState.fresh(1, tau / 2), 0)
         assert path == (0,)
         assert not isinstance(solve_lpp_column_generation(r, tau), Infeasible)
 

@@ -12,6 +12,7 @@ from cfgbal.instances import (
     RelatedInstance,
     Request,
     RoutingInstance,
+    RoutingRequestView,
     SmoothedGroups,
     gen_clairvoyance_adversary_instance,
 )
@@ -25,7 +26,6 @@ from cfgbal.online import (
     delta_phi,
     guess_and_double,
     nonclairvoyant_sqrt_list,
-    online_related_step,
     online_route_step,
     online_step,
     potential,
@@ -66,17 +66,19 @@ class TestPotential:
 class TestOnlineStep:
     def test_argmin_example(self):
         st = PotentialState.fresh(2, 1.0)  # tau = 2
-        idx, dphi, new = argmin_step(st, [(0.0, 1.0, 0.0), (0.0, 0.0, 0.5)])
+        idx, dphi, new, increments = argmin_step(st, [[(0, 0.0), (1, 1.0)], [(0, 0.0), (2, 0.5)]])
         assert idx == 1
         assert dphi == pytest.approx(1.5 ** 0.25 - 1)
         assert new.loads == [0.0, 0.0, 0.5]
+        assert increments == [(0, 0.0), (2, 0.5)]
 
     def test_single_config_commits(self):
         law = point_mass(1)
         req = Request(0, [Configuration([1], law)])
         st = PotentialState.fresh(1, 1.0)
-        idx, dphi, new = online_step(st, req)
+        idx, dphi, new, increments = online_step(st, req)
         assert idx == 0 and new.loads[1] == 1.0
+        assert increments == [(0, 0.0), (1, 1.0)]
 
     def test_fail_on_cap_breach(self):
         st = PotentialState.fresh(1, 1.0)  # ell*tau ~ 6.84
@@ -108,22 +110,34 @@ class TestOnlineStep:
     def test_argmin_scale_invariance(self):
         st1 = PotentialState.fresh(2, 1.0)
         st2 = PotentialState.fresh(2, 3.0)  # tau scaled by 3
-        proxies = [(0.1, 0.7, 0.0), (0.0, 0.3, 0.4), (0.2, 0.0, 0.5)]
-        scaled = [tuple(3 * x for x in p) for p in proxies]
+        proxies = [[(0, 0.1), (1, 0.7)], [(0, 0.0), (1, 0.3), (2, 0.4)], [(0, 0.2), (2, 0.5)]]
+        scaled = [[(i, 3 * x) for i, x in p] for p in proxies]
         assert argmin_step(st1, proxies)[0] == argmin_step(st2, scaled)[0]
 
     def test_commit_exactly_at_cap_is_admitted(self):
         st = PotentialState.fresh(1, 1.0)
         cap = st.ell * st.tau
-        result = argmin_step(st, [(0.0, cap)])
+        result = argmin_step(st, [[(1, cap)]])
         assert result is not None and result[2].loads == [0.0, cap]
-        assert argmin_step(st, [(0.0, math.nextafter(cap, math.inf))]) is None
-        assert argmin_step(st, [(math.nextafter(cap, math.inf), 0.0)]) is None
+        assert argmin_step(st, [[(1, math.nextafter(cap, math.inf))]]) is None
+        assert argmin_step(st, [[(0, math.nextafter(cap, math.inf))]]) is None
 
     def test_boundary_proxy_is_exceptional(self):
         # s=1, tau=2, law {(2,1)}: proxy x0 = 2, truncated part 0
         cfg = Configuration([1], point_mass(2))
-        assert request_proxies(Request(0, [cfg]), 2) == [(2.0, 0.0)]
+        assert request_proxies(Request(0, [cfg]), 2) == [[(0, 2.0), (1, 0.0)]]
+
+    def test_argmin_prefers_a_finite_candidate_to_an_overflow(self):
+        # 1.5 ** (1e5 / 2) overflows a float; the entry is far past ell * tau
+        st = PotentialState.fresh(1, 1.0)
+        assert delta_phi(st.loads, st.tau, [(0, 1e5)]) == math.inf
+        idx, dphi, new, _ = argmin_step(st, [[(0, 1e5)], [(0, 0.0), (1, 1.0)]])
+        assert idx == 1 and dphi == pytest.approx(1.5 ** 0.5 - 1)
+        assert new.loads == [0.0, 1.0]
+
+    def test_only_overflowing_candidates_fail(self):
+        st = PotentialState.fresh(1, 1.0)
+        assert argmin_step(st, [[(0, 1e5)], [(1, 1e5)]]) is None
 
 
 # zeros and repeats of equal values in both types: 1 and 1.0 scale a
@@ -148,7 +162,7 @@ def request_at_tau(draw):
     configs = draw(st.lists(
         st.lists(_multipliers, min_size=m, max_size=m), min_size=1, max_size=3
     ))
-    points = sorted({v * a for v in law.values() for mults in configs for a in mults} - {0})
+    points = sorted({v * a for v, _ in law.support for mults in configs for a in mults} - {0})
     between = [(p + q) / 2 for p, q in zip(points, points[1:])]
     tau = draw(st.one_of(
         *(st.sampled_from(xs) for xs in (points, between) if xs),
@@ -168,10 +182,10 @@ class TestRequestProxies:
         for config, proxy in zip(request.configs, proxies):
             law, mults = config.law, config.multipliers
             top = max(mults)
-            want = [float(law.exceptional_mean(tau, top)) if top else 0.0]
-            want += [float(law.truncated_mean(tau, a)) if a else 0.0 for a in mults]
-            assert all(type(x) is float for x in proxy)
-            assert [x.hex() for x in proxy] == [x.hex() for x in want]
+            want = [(0, float(law.exceptional_mean(tau, top)) if top else 0.0)]
+            want += [(i + 1, float(law.truncated_mean(tau, a))) for i, a in enumerate(mults) if a]
+            assert all(type(x) is float for _, x in proxy)
+            assert [(i, x.hex()) for i, x in proxy] == [(i, x.hex()) for i, x in want]
 
 
 class TestPotentialBoundAtOptimum:
@@ -243,19 +257,23 @@ class TestOnlineRelated:
         groups = SmoothedGroups([(1, 3, (0, 1, 2)), (2, 2, (3, 4))])
         st = PotentialState.fresh(2, 1.0)  # tau = 2
         proxies = related_group_proxies(groups, point_mass(1), 2.0)
-        assert proxies[0] == (0.0, pytest.approx(1 / 3), 0.0)
-        assert proxies[1] == (0.0, 0.0, 0.25)
-        machine, group_idx, dphi, _ = online_related_step(groups, st, {}, proxies)
-        assert group_idx == 1
+        assert proxies[0] == [(0, 0.0), (1, pytest.approx(1 / 3))]
+        assert proxies[1] == [(0, 0.0), (2, 0.25)]
+        balancer = RelatedBalancer(RelatedInstance([1, 1, 1, 2, 2], [point_mass(1)]), cycle_support)
+        assert balancer.groups.groups == groups.groups
+        machine, dphi, _, increments = balancer.step(st, point_mass(1))
+        assert increments == proxies[1]  # group 2
         assert machine == 3  # least loaded in group 2, lowest id
         assert dphi == pytest.approx(1.5 ** 0.125 - 1)
 
     def test_single_group_forced(self):
-        groups = SmoothedGroups([(1, 2, (0, 1))])
         st = PotentialState.fresh(1, 5.0)
-        proxies = related_group_proxies(groups, point_mass(1), st.tau)
-        machine, group_idx, _, _ = online_related_step(groups, st, {0: 1.0, 1: 0.5}, proxies)
-        assert group_idx == 0 and machine == 1
+        balancer = RelatedBalancer(RelatedInstance([1, 1], [point_mass(1)]), cycle_support)
+        assert balancer.groups.groups == ((1, 2, (0, 1)),)
+        balancer.history = [(0, 1.0), (1, 0.5)]  # truncated loads {0: 1.0, 1: 0.5}
+        machine, _, _, increments = balancer.step(st, point_mass(1))
+        assert increments == related_group_proxies(balancer.groups, point_mass(1), st.tau)[0]
+        assert machine == 1
 
 
 def multi_phase_related():
@@ -318,15 +336,16 @@ class TestRelatedBalancer:
 class TestOnlineRouting:
     def test_triangle_two_hop_choice(self):
         st = PotentialState.fresh(3, 1.5)  # tau = 3
-        path, dphi, new = online_route_step(triangle(), st, 0)
+        path, dphi, new, increments = online_route_step(triangle(), st, 0)
         assert path == (0, 1)
         assert dphi == pytest.approx(2 * (1.5 ** (1 / 3) - 1))
         assert new.loads[1] == new.loads[2] == pytest.approx(1.0)
+        assert increments == [(0, 0.0), (1, 1.0), (2, 1.0)]
 
     def test_single_admissible_path(self):
         r = RoutingInstance(3, [(0, 1, 1), (1, 2, 1)], [(0, 2, point_mass(1))])
         st = PotentialState.fresh(2, 2.0)
-        path, _, _ = online_route_step(r, st, 0)
+        path, _, _, _ = online_route_step(r, st, 0)
         assert path == (0, 1)
 
     def test_matches_brute_force_on_random_dags(self):
@@ -344,7 +363,7 @@ class TestOnlineRouting:
                 expect_path, expect_val = brute_force_min_dphi(r, st, j)
                 if res is None:
                     continue
-                path, dphi, st = res
+                path, dphi, st, _ = res
                 assert path == expect_path, (seed, j)
                 assert dphi == pytest.approx(expect_val, abs=1e-12)
 
@@ -355,7 +374,7 @@ class TestOnlineRouting:
         cap = st.ell * st.tau
         assert (cap - 1.0) + 1.0 == cap
         st.loads = [0.0, cap - 1.0]
-        path, _, new = online_route_step(r, st, 0)
+        path, _, new, _ = online_route_step(r, st, 0)
         assert path == (0,) and new.loads == [0.0, cap]
         st.loads = [0.0, math.nextafter(cap - 1.0, math.inf)]
         assert online_route_step(r, st, 0) is None
@@ -368,6 +387,67 @@ class TestOnlineRouting:
         run = run_online_routing(triangle())
         assert len(run.records) == 1
         assert run.records[0].choice == (0, 1)
+
+
+def seeded_grid(seed, side=4, n=40):
+    """A side x side bidirectional grid with capacities drawn from {1, 2, 4}
+    and n requests between random vertex pairs, each with a two-point float
+    law."""
+    rng = tiny_rng(seed)
+    edges = []
+    for v in range(side * side):
+        row, col = divmod(v, side)
+        for w, ok in ((v + 1, col + 1 < side), (v + side, row + 1 < side)):
+            if ok:
+                for a, b in ((v, w), (w, v)):
+                    edges.append((a, b, (1, 2, 4)[int(rng.integers(0, 3))]))
+    requests = []
+    for _ in range(n):
+        s, t = (int(x) for x in rng.choice(side * side, size=2, replace=False))
+        hi = round(float(rng.uniform(0.5, 2.0)), 3)
+        requests.append((s, t, DiscreteDistribution([(hi / 4, 0.75), (hi, 0.25)])))
+    return RoutingInstance(side * side, edges, requests)
+
+
+def replay_last_phase(run):
+    """The load vector from adding the last phase's recorded increments to
+    zeros, in record order."""
+    loads = [0.0] * len(run.state.loads)
+    for rec in run.records:
+        if rec.phase == run.phases - 1:
+            for i, x in rec.proxy:
+                loads[i] += x
+    return loads
+
+
+class TestRecordsAreAdmitted:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_routing_records_are_the_view_increments(self, seed):
+        r = seeded_grid(seed)
+        run = run_online_routing(r)
+        for rec in run.records:
+            view = RoutingRequestView(r, rec.request, 2 * rec.lam)
+            want = {0: view.exceptional(rec.choice)}
+            want.update((e + 1, view.truncated[e]) for e in rec.choice)
+            got = dict(rec.proxy)
+            assert list(got) == list(want)
+            assert [x.hex() for x in got.values()] == [x.hex() for x in want.values()]
+
+    def test_config_increments_replay_the_loads(self):
+        unit = [Request(j, [Configuration([1], point_mass(1))]) for j in range(9)]
+        for inst in [ConfigInstance(1, unit)] + tiny_suite("config", 10, seed=704):
+            run = run_online_config(inst)
+            assert replay_last_phase(run) == run.state.loads
+
+    def test_related_increments_replay_the_loads(self):
+        run, _ = run_online_related(multi_phase_related(), cycle_support)
+        assert run.phases == 3
+        assert replay_last_phase(run) == run.state.loads
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_routing_increments_replay_the_loads(self, seed):
+        run = run_online_routing(seeded_grid(seed))
+        assert replay_last_phase(run) == run.state.loads
 
 
 class TestSqrtBaseline:

@@ -42,15 +42,15 @@ from conftest import (
 
 class TestStreams:
     def test_same_seed_identical_table(self):
-        a = uniform_table(3, 4, 100)
-        b = uniform_table(3, 4, 100)
+        a = uniform_table(3, range(4), 100)
+        b = uniform_table(3, range(4), 100)
         assert np.array_equal(a, b)
 
     def test_requests_independent_of_trial_count(self):
         # stream per (seed, request): the first 50 trials agree regardless of
         # how many trials are drawn
-        a = uniform_table(3, 2, 50)
-        b = uniform_table(3, 2, 200)
+        a = uniform_table(3, range(2), 50)
+        b = uniform_table(3, range(2), 200)
         assert np.array_equal(a, b[:50])
 
 
@@ -167,7 +167,7 @@ class TestRequestIds:
             simulate_policy(twice, NonAdaptiveAssignment({7: 0}), 10, 0)
 
     def test_streams_follow_ids(self):
-        assert np.array_equal(uniform_table(3, [2, 0], 50), uniform_table(3, 3, 50)[:, [2, 0]])
+        assert np.array_equal(uniform_table(3, [2, 0], 50), uniform_table(3, range(3), 50)[:, [2, 0]])
 
     def test_permuted_listing_simulates_the_same(self):
         for k, inst in enumerate(tiny_suite("config", 12, seed=611)):

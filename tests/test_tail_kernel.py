@@ -48,7 +48,7 @@ def law_factor_tau(draw):
     (the boundary rule) and otherwise an arbitrary float or Fraction."""
     law = draw(laws())
     factor = draw(_factors)
-    scaled = [v * factor for v in law.values()]
+    scaled = [v * factor for v, _ in law.support]
     tau = draw(st.one_of(
         st.sampled_from(scaled),
         st.floats(min_value=1e-300, max_value=1e13, allow_nan=False),
