@@ -61,38 +61,6 @@ def reachable(g, edge_ids, source, sink):
     return False
 
 
-def _dfs_paths(g, allowed, source, sink, usable):
-    """Yield the simple source-sink paths over the edges (u, v, e) with e in
-    allowed and usable(u, v, e) true, in canonical order: a depth-first
-    search with an explicit stack, so path length is not bounded by the
-    recursion limit."""
-    if source == sink:
-        yield ()
-        return
-    adj = g.out
-    path = []
-    visited = {source}
-    stack = [(source, iter(adj.get(source, ())))]
-    while stack:
-        u, out = stack[-1]
-        step = next(out, None)
-        if step is None:
-            stack.pop()
-            if path:
-                path.pop()
-                visited.remove(u)
-            continue
-        v, e = step
-        if v in visited or e not in allowed or not usable(u, v, e):
-            continue
-        if v == sink:
-            yield (*path, e)
-            continue
-        visited.add(v)
-        path.append(e)
-        stack.append((v, iter(adj.get(v, ()))))
-
-
 def dijkstra_to_sink(g, edge_ids, weights, sink):
     """Shortest-distance-to-sink for every vertex over edge_ids under
     nonnegative edge weights (weights keyed by edge index)."""
@@ -120,20 +88,41 @@ def lex_shortest_path(g, edge_ids, weights, source, sink):
     smallest among minimizers; None if the sink is unreachable.
 
     Works from exact distances-to-sink and walks tight edges depth first in
-    canonical order, backtracking if a zero-weight cycle blocks the walk.
+    canonical order, with an explicit stack (so path length is not bounded
+    by the recursion limit), backtracking if a zero-weight cycle blocks the
+    walk.
     """
-    dist = dijkstra_to_sink(g, edge_ids, weights, sink)
+    allowed = set(edge_ids)
+    dist = dijkstra_to_sink(g, allowed, weights, sink)
     if source not in dist:
         return None
-
-    def tight(u, v, e):
-        if v not in dist:
-            return False
+    if source == sink:
+        return ()
+    adj = g.out
+    path = []
+    visited = {source}
+    stack = [(source, iter(adj.get(source, ())))]
+    while stack:
+        u, out = stack[-1]
+        step = next(out, None)
+        if step is None:
+            stack.pop()
+            if path:
+                path.pop()
+                visited.remove(u)
+            continue
+        v, e = step
+        if v in visited or e not in allowed or v not in dist:
+            continue
         target = dist[u]
-        tol = REL_TOL * max(1.0, abs(target))
-        return abs(weights[e] + dist[v] - target) <= tol
-
-    return next(_dfs_paths(g, set(edge_ids), source, sink, tight), None)
+        if abs(weights[e] + dist[v] - target) > REL_TOL * max(1.0, abs(target)):
+            continue  # not tight
+        if v == sink:
+            return (*path, e)
+        visited.add(v)
+        path.append(e)
+        stack.append((v, iter(adj.get(v, ()))))
+    return None
 
 
 def widest_path_value(g, source, sink):

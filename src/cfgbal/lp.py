@@ -4,14 +4,17 @@ and the routing path LP via column generation.
 Both LPs are one LinearProgram in one layout: row i < m is resource (or
 edge) i's truncated row, row m the exceptional row, both <= tau, and row
 m + 1 + j request j's convexity row, = 1; column k is one (request,
-choice), in request order. One solve(lp) runs its phase 1 (minimize total
-constraint violation through artificial variables); a point is feasible iff
-the phase-1 optimum is at most FEAS_TOL. phase1 assembles one sparse
-column-wise model and hands it to HiGHS through scipy's bundled bindings
-(scipy.optimize._highspy._core) under the options scipy's linprog sets for
-method="highs"; the dual simplex is deterministic for a fixed input. phase1
-keeps linprog's checks: finite input, an optimal model status, and a
-solution within linprog's residual tolerance.
+choice), in request order. Every model handed to HiGHS is phase1_model(lp),
+the layout's phase 1: minimize total constraint violation through one
+artificial variable per request row (tau >= 0, so the <= rows need none); a
+point is feasible iff the phase-1 optimum is at most FEAS_TOL. solve(lp)
+hands that sparse column-wise model to HiGHS through scipy's bundled
+bindings (scipy.optimize._highspy._core) under the options scipy's linprog
+sets for method="highs"; the dual simplex is deterministic for a fixed
+input. solve keeps linprog's checks: finite input, an optimal model status,
+and a solution within linprog's residual tolerance. One master(lp, cols)
+turns a solve into both LPs' verdict and weights: the fresh solve_lpc and
+each column-generation round.
 
 LP_C's tau-independent data (each configuration's E[max], and the tail
 kernel's values at the breakpoints of each (law, multiplier) pair) is built
@@ -146,10 +149,10 @@ def linprog(model, solver=None):
     )
 
 
-def check_phase1_input(val, b_ub, b_eq):
-    """A non-finite coefficient or right-hand side, or a coefficient at or
-    above HiGHS's large_matrix_value in magnitude, raises NumericalFailure."""
-    if not (np.isfinite(val).all() and np.isfinite(b_ub).all() and np.isfinite(b_eq).all()):
+def check_phase1_input(val, t):
+    """A non-finite coefficient or threshold, or a coefficient at or above
+    HiGHS's large_matrix_value in magnitude, raises NumericalFailure."""
+    if not (np.isfinite(val).all() and np.isfinite(t)):
         raise NumericalFailure("phase-1 input has a non-finite coefficient or right-hand side")
     largest, limit = np.abs(val).max(initial=0.0), _OPTIONS.large_matrix_value
     if largest >= limit:
@@ -158,36 +161,29 @@ def check_phase1_input(val, b_ub, b_eq):
         )
 
 
-def phase1_model(n, row, col, val, b_ub, b_eq):
-    """The column-wise phase-1 HighsLp: minimize the total violation of
-    A_ub x <= b_ub, A_eq x = b_eq over x >= 0. The structural matrix comes
-    as coordinate entries (row[i], col[i], val[i]), no position twice, with
-    rows numbered over the <= rows and then the = rows. Artificial columns
-    follow the n structural ones: one per = row (signed like its right-hand
-    side), then one per <= row with a negative right-hand side. Zero entries
-    are dropped and row indices ascend within a column. The input goes
-    through check_phase1_input first."""
-    val = np.asarray(val, dtype=float)
-    b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
-    check_phase1_input(val, b_ub, b_eq)
-    n_ub, n_eq = len(b_ub), len(b_eq)
-    neg = np.flatnonzero(b_ub < 0)
-    n_cols = n + n_eq + len(neg)
-    row = np.concatenate((np.asarray(row, dtype=int), n_ub + np.arange(n_eq), neg))
-    col = np.concatenate((np.asarray(col, dtype=int), np.arange(n, n_cols)))
-    val = np.concatenate((val, np.where(b_eq >= 0, 1.0, -1.0), np.full(len(neg), -1.0)))
+def phase1_model(lp):
+    """The column-wise phase-1 HighsLp of a LinearProgram: minimize the
+    total violation of its rows over x >= 0. One +1 artificial column per
+    request row follows the n_vars structural ones; the <= rows need none,
+    as lp.t >= 0. Zero entries are dropped and row indices ascend within a
+    column. The input goes through check_phase1_input first."""
+    check_phase1_input(lp.val, lp.t)
+    n_ub, n_cols = lp.m + 1, lp.n_vars + lp.n
+    row = np.concatenate((lp.row, n_ub + np.arange(lp.n)))
+    col = np.concatenate((lp.col, np.arange(lp.n_vars, n_cols)))
+    val = np.concatenate((lp.val, np.ones(lp.n)))
     nonzero = val != 0
     row, col, val = row[nonzero], col[nonzero], val[nonzero]
     order = np.lexsort((row, col))
     # lists: the bindings copy them into HiGHS faster than numpy arrays
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n_cols
-    model.num_row_ = model.a_matrix_.num_row_ = n_ub + n_eq
-    model.col_cost_ = [0.0] * n + [1.0] * (n_cols - n)
+    model.num_row_ = model.a_matrix_.num_row_ = n_ub + lp.n
+    model.col_cost_ = [0.0] * lp.n_vars + [1.0] * lp.n
     model.col_lower_ = [0.0] * n_cols
     model.col_upper_ = [np.inf] * n_cols
-    model.row_lower_ = [-np.inf] * n_ub + b_eq.tolist()
-    model.row_upper_ = b_ub.tolist() + b_eq.tolist()
+    model.row_lower_ = [-np.inf] * n_ub + [1.0] * lp.n
+    model.row_upper_ = [lp.t] * n_ub + [1.0] * lp.n
     model.a_matrix_.format_ = highs.MatrixFormat.kColwise
     model.a_matrix_.start_ = [0] + np.cumsum(np.bincount(col, minlength=n_cols)).tolist()
     model.a_matrix_.index_ = row[order].tolist()
@@ -195,20 +191,13 @@ def phase1_model(n, row, col, val, b_ub, b_eq):
     return model
 
 
-def phase1(n, row, col, val, b_ub, b_eq):
-    """Solve phase1_model and return the HighsSolution over [x,
-    artificials], checked by accept_phase1."""
-    b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
-    return accept_phase1(linprog(phase1_model(n, row, col, val, b_ub, b_eq)), b_ub, b_eq)
-
-
-def accept_phase1(res, b_ub, b_eq):
+def accept_phase1(res, lp):
     """res, if it keeps linprog's acceptance rule. Phase 1 is always
     feasible and bounded, so a solution that breaks it (a NaN, x < -tol, a
-    <= row over its bound by more than tol, an = row off by more than tol,
+    <= row over lp.t by more than tol, a request row off 1 by more than tol,
     with tol = 10 * sqrt(1e-9)) means HiGHS gave up: NumericalFailure."""
-    slack = b_ub - res.row_value[: len(b_ub)]
-    residual = np.abs(b_eq - res.row_value[len(b_ub):])
+    slack = lp.t - res.row_value[: lp.m + 1]
+    residual = np.abs(1.0 - res.row_value[lp.m + 1 :])
     if not (
         (res.x >= -RESIDUAL_TOL).all()
         and (slack >= -RESIDUAL_TOL).all()
@@ -220,8 +209,23 @@ def accept_phase1(res, b_ub, b_eq):
 
 
 def solve(lp):
-    """phase1 on a LinearProgram: its <= rows at lp.t, its = rows at 1."""
-    return phase1(lp.n_vars, lp.row, lp.col, lp.val, np.full(lp.m + 1, lp.t), np.ones(lp.n))
+    """The HighsSolution of phase1_model(lp), over [x, artificials], checked
+    by accept_phase1."""
+    return accept_phase1(linprog(phase1_model(lp)), lp)
+
+
+def master(lp, cols):
+    """solve(lp) and its verdict, with cols[k] = (request, choice) naming
+    column k: (res, {request: [(choice, weight)]}), the weights clipped at
+    0 in cols order, or (res, Infeasible) if the phase-1 optimum is over
+    FEAS_TOL."""
+    res = solve(lp)
+    if res.fun > FEAS_TOL:
+        return res, Infeasible(f"phase-1 violation {res.fun:.3e}")
+    weights = {j: [] for j in range(lp.n)}
+    for (j, choice), w in zip(cols, np.clip(res.x[: lp.n_vars], 0.0, None).tolist()):
+        weights[j].append((choice, w))
+    return res, weights
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +271,7 @@ def solve_lpc(inst, tau, session=None):
             return Infeasible(f"request {req.id}: all configurations pruned at tau={tau}")
     if session is not None:
         return session.verdict(lp)
-    res = solve(lp)
-    if res.fun > FEAS_TOL:
-        return Infeasible(f"phase-1 violation {res.fun:.3e}")
-    weights = {j: [] for j in range(inst.n)}
-    for (j, c), w in zip(var_map, np.clip(res.x[: lp.n_vars], 0.0, None).tolist()):
-        weights[j].append((c, w))
-    return weights
+    return master(lp, var_map)[1]
 
 
 class _LpcSession:
@@ -307,16 +305,17 @@ class _LpcSession:
         kept = _unpruned(table, lp.t)
         value = self.value.copy()
         value[kept[table.entry_config]] = lp.val  # build_lpc's entries, in table order
-        b_ub, b_eq = np.full(lp.m + 1, lp.t), np.ones(lp.n)
         if self.solver is None:
-            model = phase1_model(len(kept), table.entry_row, table.entry_config, value, b_ub, b_eq)
+            model = phase1_model(
+                LinearProgram(len(kept), lp.m, lp.n, lp.t, table.entry_row, table.entry_config, value)
+            )
             model.col_upper_ = np.where(kept, np.inf, 0.0).tolist() + [np.inf] * lp.n
             self.solver = highs._Highs()
             self.solver.passOptions(_OPTIONS)
             res = linprog(model, self.solver)
         else:
             changed = np.flatnonzero(value != self.value)
-            check_phase1_input(value[changed], b_ub, b_eq)
+            check_phase1_input(value[changed], lp.t)
             rows, configs = table.entry_row[changed].tolist(), table.entry_config[changed].tolist()
             for r, k, v in zip(rows, configs, value[changed].tolist()):
                 self.solver.changeCoeff(r, k, v)
@@ -328,7 +327,7 @@ class _LpcSession:
                 self.solver.changeRowBounds(r, -np.inf, lp.t)
             res = linprog(None, self.solver)
         self.value, self.kept = value, kept
-        res = accept_phase1(res, b_ub, b_eq)
+        res = accept_phase1(res, lp)
         if res.fun > FEAS_TOL:
             return Infeasible(f"phase-1 violation {res.fun:.3e}")
         return True
@@ -397,20 +396,6 @@ def min_feasible_tau(inst):
 # routing: the path LP by primal column generation
 
 
-def _routing_master(r, tau, views, columns):
-    """Phase-1 master LP for a restricted column set, in the module's
-    layout; returns the HighsSolution and the (request, path) of each
-    structural column."""
-    cols = [(j, path) for j, paths in enumerate(columns) for path in sorted(paths)]
-    row, col, val = [], [], []
-    for k, (j, path) in enumerate(cols):
-        view = views[j]
-        row += [*path, r.m, r.m + 1 + j]
-        col += [k] * (len(path) + 2)
-        val += [*(view.truncated[e] for e in path), view.exceptional(path), 1.0]
-    return solve(LinearProgram(len(cols), r.m, r.n, float(tau), row, col, val)), cols
-
-
 def solve_lpp_column_generation(r, tau):
     """Feasibility of the path LP at tau by primal column generation.
 
@@ -430,11 +415,15 @@ def solve_lpp_column_generation(r, tau):
     ]
 
     for _ in range(CG_MAX_ROUNDS):
-        res, cols = _routing_master(r, tau, views, columns)
-        if res.fun <= FEAS_TOL:
-            weights = {j: [] for j in range(r.n)}
-            for k, (j, path) in enumerate(cols):
-                weights[j].append((path, max(float(res.x[k]), 0.0)))
+        cols = [(j, path) for j, paths in enumerate(columns) for path in sorted(paths)]
+        row, col, val = [], [], []
+        for k, (j, path) in enumerate(cols):
+            view = views[j]
+            row += [*path, r.m, r.m + 1 + j]
+            col += [k] * (len(path) + 2)
+            val += [*(view.truncated[e] for e in path), view.exceptional(path), 1.0]
+        res, weights = master(LinearProgram(len(cols), r.m, r.n, float(tau), row, col, val), cols)
+        if not isinstance(weights, Infeasible):
             return weights
         y_ub, y_eq = res.row_dual[: r.m + 1], res.row_dual[r.m + 1 :]
         b = [-y_ub[e] for e in range(r.m)]

@@ -133,9 +133,6 @@ class OnlineRun:
         self.final_lambda = final_lambda
         self.phases = phases
 
-    def assignment(self):
-        return {rec.request: rec.choice for rec in self.records}
-
 
 def guess_and_double(stream, inner):
     """Doubling wrapper: run the inner algorithm at guess lambda; on Fail,

@@ -332,11 +332,11 @@ def expmax_regime(name, m, tau=1.0):
     """
     from fractions import Fraction
 
-    from .distributions import DiscreteDistribution
+    from .distributions import DiscreteDistribution, scaled_bernoulli
 
     if m < 1:
         raise ValidationError(f"m must be at least 1, got {m}")
-    ber = DiscreteDistribution([(0, Fraction(m - 1, m)), (tau, Fraction(1, m))])
+    ber = scaled_bernoulli(tau, Fraction(1, m))  # a point mass at m = 1
     if name == "sqrtlog":
         return [[(ber, m)] for _ in range(m)], None
     if name == "logm":

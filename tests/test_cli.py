@@ -244,6 +244,15 @@ class TestReports:
         ) == 0
         assert "estimate:" in rep.read_text()
 
+    @pytest.mark.parametrize("regime", ["sqrtlog", "logm", "geo"])
+    def test_expmax_single_sum(self, capsys, regime):
+        assert run_cli("expmax", "--regime", regime, "--m", "1", "--trials", "10") == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "m: 1\n" in captured.out
+        if regime != "geo":
+            # the summand tau * Ber(1/m) is a point mass at tau at m = 1
+            assert "estimate: 1.0\n" in captured.out
+
     def test_batch_of_seeded_instances(self, tmp_path):
         # batch usage: one report per seeded tiny instance, reproducible
         def batch(tag):

@@ -1,8 +1,8 @@
-"""phase1 against the dense linprog phase 1 it replaces (conftest's
-reference_phase1): the same CSC matrix, costs and row bounds reach HiGHS,
-and x, the objective, both blocks of row duals and the iteration count come
-back bit for bit, on LP_C builds, column-generation masters and small random
-programs. Non-finite input, a coefficient past HiGHS's limit, a failed model
+"""solve against the dense linprog phase 1 it replaces (conftest's
+reference_phase1): phase1_model hands HiGHS the same CSC matrix, costs and
+row bounds, and x, the objective, both blocks of row duals and the
+iteration count come back bit for bit, on LP_C builds (the session's first
+model included), column-generation masters and small random programs. Non-finite input, a coefficient past HiGHS's limit, a failed model
 and a solution that breaks a row raise NumericalFailure."""
 
 import importlib.util
@@ -18,11 +18,12 @@ from cfgbal import lp
 from cfgbal.instances import unrelated_to_config
 from cfgbal.lp import (
     Infeasible,
+    LinearProgram,
     NumericalFailure,
     min_feasible_tau,
     min_feasible_tau_routing,
-    phase1,
     phase1_model,
+    solve,
     solve_lpc,
 )
 
@@ -34,31 +35,32 @@ gen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gen)
 
 
-def dense_program(n, row, col, val, b_ub, b_eq):
-    """(A_eq, b_eq, A_ub, b_ub) from phase1's coordinate entries."""
-    n_ub = len(b_ub)
-    a = np.zeros((n_ub + len(b_eq), n))
-    a[np.asarray(row, dtype=int), np.asarray(col, dtype=int)] = np.asarray(val, dtype=float)
-    return a[n_ub:], np.asarray(b_eq, dtype=float), a[:n_ub], np.asarray(b_ub, dtype=float)
+def dense_program(program):
+    """(A_eq, b_eq, A_ub, b_ub) of a LinearProgram: its request rows at 1,
+    its <= rows at program.t."""
+    n_ub = program.m + 1
+    a = np.zeros((n_ub + program.n, program.n_vars))
+    a[program.row, program.col] = program.val
+    return a[n_ub:], np.ones(program.n), a[:n_ub], np.full(n_ub, program.t)
 
 
 def bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-def assert_matches_reference(args):
-    ref, csc, cost = reference_phase1(*dense_program(*args))
+def assert_matches_reference(program):
+    a_eq, b_eq, a_ub, b_ub = dense_program(program)
+    ref, csc, cost = reference_phase1(a_eq, b_eq, a_ub, b_ub)
     assert ref.status == 0, ref.message
-    model = phase1_model(*args)
+    model = phase1_model(program)
     matrix = model.a_matrix_
     assert np.array_equal(matrix.start_, csc.indptr)
     assert np.array_equal(matrix.index_, csc.indices)
     assert bits(matrix.value_) == bits(csc.data)
     assert bits(model.col_cost_) == bits(cost)
-    b_ub, b_eq = np.asarray(args[4], dtype=float), np.asarray(args[5], dtype=float)
     assert bits(model.row_upper_) == bits(np.concatenate((b_ub, b_eq)))
     assert bits(model.row_lower_) == bits(np.concatenate((np.full(len(b_ub), -np.inf), b_eq)))
-    res = phase1(*args)
+    res = solve(program)
     assert bits(res.x) == bits(ref.x)
     assert bits([res.fun]) == bits([ref.fun])
     assert bits(res.row_dual[: len(b_ub)]) == bits(ref.ineqlin.marginals)
@@ -67,98 +69,98 @@ def assert_matches_reference(args):
 
 
 @pytest.fixture
-def phase1_calls(monkeypatch):
-    """The arguments of every phase1 call made through the lp module."""
-    calls = []
+def phase1_programs(monkeypatch):
+    """Every LinearProgram that the lp module builds a model from, the
+    session's first model included. Checking a program solves it again
+    and records it again, so tests check a copy of the list."""
+    programs = []
 
-    def recording(*args):
-        calls.append(args)
-        return phase1(*args)
+    def recording(program):
+        programs.append(program)
+        return phase1_model(program)
 
-    monkeypatch.setattr(lp, "phase1", recording)
-    return calls
+    monkeypatch.setattr(lp, "phase1_model", recording)
+    return programs
 
 
 @pytest.mark.parametrize("k", range(2))
-def test_lpc_builds_match_reference(phase1_calls, k):
+def test_lpc_builds_match_reference(phase1_programs, k):
     inst = unrelated_to_config(gen.unrelated_instance(1, k, 12, 4))
     tau, _ = min_feasible_tau(inst)
-    # the search's session steps skip phase1; the reference search builds
-    # each of its midpoints fresh
+    # the search's later session steps update its first model; the
+    # reference search builds each of its midpoints fresh
     assert reference_min_feasible_tau(inst)[0] == tau
     verdicts = [solve_lpc(inst, f * tau) for f in (0.5, 0.9, 0.999, 1.0, 1.1, 2.0)]
     assert isinstance(verdicts[1], Infeasible) and not isinstance(verdicts[-1], Infeasible)
-    assert len(phase1_calls) > 10
-    for args in phase1_calls:
-        assert_matches_reference(args)
+    assert len(phase1_programs) > 10
+    # the session's first model has a column for every configuration
+    assert phase1_programs[0].n_vars == len(inst.tail_table().emax)
+    for program in list(phase1_programs):
+        assert_matches_reference(program)
 
 
 @pytest.mark.parametrize("k", range(3))
-def test_column_generation_masters_match_reference(phase1_calls, k):
+def test_column_generation_masters_match_reference(phase1_programs, k):
     min_feasible_tau_routing(gen.grid_instance(1, k, 5, 3))
-    assert len(phase1_calls) > 5
-    for args in phase1_calls:
-        assert_matches_reference(args)
+    assert len(phase1_programs) > 5
+    for program in list(phase1_programs):
+        assert_matches_reference(program)
 
 
 COEFFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, -3.0])
-RHS = st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5])
 
 
 @st.composite
 def small_programs(draw):
-    """Every position of a small dense program as an entry, zeros included,
-    in a drawn order; either block may be empty, rows may be all zero and
-    right-hand sides of both kinds may be negative."""
-    n = draw(st.integers(0, 4))
-    n_ub, n_eq = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    b_ub = draw(st.lists(RHS, min_size=n_ub, max_size=n_ub))
-    b_eq = draw(st.lists(RHS, min_size=n_eq, max_size=n_eq))
-    cells = [(i, k) for i in range(n_ub + n_eq) for k in range(n)]
-    cells = draw(st.permutations(cells))
+    """Small LinearPrograms with every cell of the dense matrix as an entry,
+    zeros included, in a drawn order; rows may be all zero."""
+    m, n, n_vars = draw(st.integers(0, 2)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    t = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    cells = draw(st.permutations([(i, k) for i in range(m + 1 + n) for k in range(n_vars)]))
     val = draw(st.lists(COEFFS, min_size=len(cells), max_size=len(cells)))
-    row = [i for i, _ in cells]
-    col = [k for _, k in cells]
-    return n, row, col, val, b_ub, b_eq
+    return LinearProgram(n_vars, m, n, t, [i for i, _ in cells], [k for _, k in cells], val)
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_programs())
-def test_small_programs_match_reference(args):
-    n, _, _, _, b_ub, b_eq = args
-    if n + len(b_eq) + sum(b < 0 for b in b_ub) == 0:
+def test_small_programs_match_reference(program):
+    if program.n_vars + program.n == 0:
         return  # linprog refuses a program without columns
-    assert_matches_reference(args)
+    assert_matches_reference(program)
 
 
 def test_program_without_columns_is_feasible():
-    res = phase1(0, [], [], [], [1.0, 0.0], [])
+    res = solve(LinearProgram(0, 1, 0, 1.0, [], [], []))
     assert res.x.size == 0 and res.fun == 0.0 and res.nit == 0
 
 
 @pytest.mark.parametrize(
-    "args",
+    "program",
     [
-        (1, [0], [0], [np.nan], [1.0], []),
-        (1, [0], [0], [np.inf], [], [1.0]),
-        (1, [0], [0], [1.0], [np.inf], []),
-        (1, [0], [0], [1.0], [], [-np.inf]),
+        LinearProgram(1, 0, 1, 1.0, [0], [0], [np.nan]),
+        LinearProgram(1, 0, 1, 1.0, [1], [0], [np.inf]),
+        LinearProgram(1, 0, 1, np.inf, [0], [0], [1.0]),
     ],
-    ids=["nan-coefficient", "inf-coefficient", "inf-ub-rhs", "inf-eq-rhs"],
+    ids=["nan-coefficient", "inf-coefficient", "inf-ub-rhs"],
 )
-def test_non_finite_input_is_refused(monkeypatch, args):
+def test_non_finite_input_is_refused(monkeypatch, program):
     def unreachable(model):
         raise AssertionError("HiGHS saw non-finite input")
 
     monkeypatch.setattr(lp, "linprog", unreachable)
     with pytest.raises(NumericalFailure, match="non-finite"):
-        phase1(*args)
+        solve(program)
+
+
+def one_request(value):
+    """One variable with coefficient value in its request's row."""
+    return LinearProgram(1, 0, 1, 1.0, [1], [0], [value])
 
 
 def test_model_error_is_a_numerical_failure():
     # HiGHS refuses matrix values at or above its large_matrix_value (1e15);
     # phase1_model refuses them first, so this model is doctored after it
-    model = phase1_model(1, [0], [0], [1.0], [], [1.0])
+    model = phase1_model(one_request(1.0))
     model.a_matrix_.value_ = [1e300, 1.0]
     with pytest.raises(NumericalFailure, match="Model error"):
         lp.linprog(model)
@@ -172,9 +174,9 @@ def test_coefficient_past_the_solver_limit_is_refused(monkeypatch, value):
     monkeypatch.setattr(lp, "linprog", unreachable)
     message = f"magnitude {abs(value):g} is at or above the solver's limit 1e+15"
     with pytest.raises(NumericalFailure, match=re.escape(message)):
-        phase1(1, [0], [0], [value], [], [1.0])
+        solve(one_request(value))
     monkeypatch.undo()
-    assert phase1(1, [0], [0], [9.999999999999999e14], [], [1.0]).fun == 0.0
+    assert solve(one_request(9.999999999999999e14)).fun == 0.0
 
 
 @pytest.mark.parametrize(
@@ -195,8 +197,9 @@ def test_doctored_solution_is_refused(monkeypatch, field, change):
         return res._replace(**{field: change(getattr(res, field))})
 
     monkeypatch.setattr(lp, "linprog", doctored)
-    args = (2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, -1.0], [2.0], [0.0])
+    # x0 + x1 <= 2 and x0 - x1 = 1
+    program = LinearProgram(2, 0, 1, 2.0, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, -1.0])
     with pytest.raises(NumericalFailure, match="violates"):
-        phase1(*args)
+        solve(program)
     monkeypatch.setattr(lp, "linprog", real)
-    phase1(*args)
+    solve(program)
