@@ -10,7 +10,7 @@ perfectly correlated) and makes E[max_i X_i^E] a one-dimensional quantity.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import compress, repeat
 from numbers import Rational
@@ -534,7 +534,7 @@ class RoutingRequestView:
 
     __slots__ = (
         "instance", "index", "source", "sink", "law", "tau", "edge_ids",
-        "truncated", "_exceptional",
+        "truncated", "_exceptional", "_seed",
     )
 
     def __init__(self, instance, index, tau):
@@ -555,6 +555,16 @@ class RoutingRequestView:
                 by_cap[caps[e]] = float(self.law.truncated_mean(tau, 1.0 / caps[e]))
         self.truncated = {e: by_cap[caps[e]] for e in self.edge_ids}
         self._exceptional = {}  # bottleneck capacity -> exceptional part
+        self._seed = None
+
+    def seed_path(self):
+        """The lex-shortest source-sink path under the truncated weights,
+        found once per view: column generation's first column."""
+        if self._seed is None:
+            self._seed = lex_shortest_path(
+                self.instance.graph, self.edge_ids, self.truncated, self.source, self.sink
+            )
+        return self._seed
 
     def exceptional(self, path):
         """E[max_{e in P} X_ej^E] = exceptional part at the bottleneck edge."""
@@ -593,10 +603,52 @@ class RoutingRequestView:
         return best[1], best[2]
 
 
-def routing_to_config(r, tau):
-    """Per-request implicit configuration views at threshold tau."""
+class RoutingViewMemo:
+    """The RoutingRequestViews of one threshold search over r, built once
+    per (request, split). A view reads tau only through the tail kernel's
+    partition x < tau of each x = v * (1.0 / c), over its law's support
+    values v and the distinct capacities c, and through the admissibility
+    rule float(mean) / c <= float(tau). So the split is one bisect_left
+    per capacity over the x and the count of thresholds float(mean) / c at
+    or below float(tau), and views with one split are equal in every bit.
+    A memoized view keeps the tau it was built at, its exceptional parts
+    and its seed path. A split that disconnects the request raises a new
+    NoFeasiblePath with the same message each time."""
+
+    __slots__ = ("instance", "scaled", "thresholds", "views")
+
+    def __init__(self, r):
+        self.instance = r
+        caps = sorted(set(r.capacities))
+        self.scaled, self.thresholds = [], []
+        for _, _, law in r.requests:
+            self.scaled.append([[v * (1.0 / c) for v, _ in law.support] for c in caps])
+            mean = float(law.mean())
+            self.thresholds.append(sorted(mean / c for c in caps))
+        self.views = {}  # (request, split) -> view, or the NoFeasiblePath message
+
+    def view(self, j, tau):
+        """RoutingRequestView(r, j, tau), from the memo."""
+        split = (bisect_right(self.thresholds[j], float(tau)), *(bisect_left(x, tau) for x in self.scaled[j]))
+        view = self.views.get((j, split))
+        if view is None:
+            try:
+                view = RoutingRequestView(self.instance, j, tau)
+            except NoFeasiblePath as exc:
+                view = str(exc)
+            self.views[j, split] = view
+        if isinstance(view, str):
+            raise NoFeasiblePath(view)
+        return view
+
+
+def routing_to_config(r, tau, memo=None):
+    """Per-request implicit configuration views at threshold tau, fresh, or
+    from memo, a RoutingViewMemo of r."""
     check_tau(tau)
-    return [RoutingRequestView(r, j, tau) for j in range(r.n)]
+    if memo is None:
+        return [RoutingRequestView(r, j, tau) for j in range(r.n)]
+    return [memo.view(j, tau) for j in range(r.n)]
 
 
 # ---------------------------------------------------------------------------

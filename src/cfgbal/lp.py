@@ -14,7 +14,11 @@ sets for method="highs"; the dual simplex is deterministic for a fixed
 input. solve keeps linprog's checks: finite input, an optimal model status,
 and a solution within linprog's residual tolerance. One master(lp, cols)
 turns a solve into both LPs' verdict and weights: the fresh solve_lpc and
-each column-generation round.
+each column-generation round. When every request row holds exactly one
+column, x = 1 is the only point that can zero phase 1, and master answers
+without HiGHS if those columns' float row sums are at most lp.t on every
+<= row; a row over lp.t by any amount goes to HiGHS, as does every other
+program.
 
 LP_C's tau-independent data (each configuration's E[max], and the tail
 kernel's values at the breakpoints of each (law, multiplier) pair) is built
@@ -37,6 +41,11 @@ solve_lpc at the returned tau gives the returned solution, so reports are
 those of a fresh search, and confirms the verdict that ended the search;
 a contradiction raises NumericalFailure. check_phase1_input and
 accept_phase1 hold on both paths.
+
+The routing search's steps share one instances.RoutingViewMemo, which
+builds each request's view and seed path once per split of tau (the tail
+kernel's partition and the admissibility thresholds at or below tau), so
+the search returns what fresh views give.
 """
 
 from __future__ import annotations
@@ -48,8 +57,7 @@ import numpy as np
 from scipy.optimize._highspy import _core as highs
 
 from .distributions import check_tau
-from .graphs import lex_shortest_path
-from .instances import NoFeasiblePath, routing_to_config
+from .instances import NoFeasiblePath, RoutingViewMemo, routing_to_config
 
 FEAS_TOL = 1e-9
 EPS = 1e-3  # relative precision of the threshold search
@@ -214,16 +222,45 @@ def solve(lp):
     return accept_phase1(linprog(phase1_model(lp)), lp)
 
 
+def _fits_at_one(lp):
+    """Whether x = 1 is lp's only candidate and fits: every request row
+    holds exactly one column, with coefficient 1, and no column sits in two;
+    and the float row sums of those columns are at most lp.t on every <=
+    row. A row over lp.t by any amount, however small, does not fit."""
+    nonzero = lp.val != 0
+    row, col, val = lp.row[nonzero], lp.col[nonzero], lp.val[nonzero]
+    request = row > lp.m
+    if not (
+        lp.n_vars == lp.n == np.count_nonzero(request)
+        and (val[request] == 1.0).all()
+        and (np.bincount(row[request] - (lp.m + 1), minlength=lp.n) == 1).all()
+        and (np.bincount(col[request], minlength=lp.n) == 1).all()
+    ):
+        return False
+    ub = ~request
+    return bool((np.bincount(row[ub], weights=val[ub], minlength=lp.m + 1) <= lp.t).all())
+
+
 def master(lp, cols):
     """solve(lp) and its verdict, with cols[k] = (request, choice) naming
     column k: (res, {request: [(choice, weight)]}), the weights clipped at
     0 in cols order, or (res, Infeasible) if the phase-1 optimum is over
-    FEAS_TOL."""
-    res = solve(lp)
-    if res.fun > FEAS_TOL:
-        return res, Infeasible(f"phase-1 violation {res.fun:.3e}")
+    FEAS_TOL.
+
+    When x = 1 is the only candidate and fits (_fits_at_one), phase 1's
+    optimum is 0 at x = 1, and master returns (None, every weight 1.0)
+    without HiGHS, after check_phase1_input. Otherwise HiGHS solves it,
+    whose duals price the next column when it is infeasible."""
+    check_phase1_input(lp.val, lp.t)
+    if _fits_at_one(lp):
+        res, x = None, [1.0] * lp.n_vars
+    else:
+        res = solve(lp)
+        if res.fun > FEAS_TOL:
+            return res, Infeasible(f"phase-1 violation {res.fun:.3e}")
+        x = np.clip(res.x[: lp.n_vars], 0.0, None).tolist()
     weights = {j: [] for j in range(lp.n)}
-    for (j, choice), w in zip(cols, np.clip(res.x[: lp.n_vars], 0.0, None).tolist()):
+    for (j, choice), w in zip(cols, x):
         weights[j].append((choice, w))
     return res, weights
 
@@ -396,7 +433,7 @@ def min_feasible_tau(inst):
 # routing: the path LP by primal column generation
 
 
-def solve_lpp_column_generation(r, tau):
+def solve_lpp_column_generation(r, tau, memo=None):
     """Feasibility of the path LP at tau by primal column generation.
 
     Maintains one admissible seed path per request, alternates solving the
@@ -404,15 +441,15 @@ def solve_lpp_column_generation(r, tau):
     bottleneck-edge-guessing shortest-path routine
     (RoutingRequestView.best_path), and stops when no improving column
     exists. Returns {request: [(path, weight)]} or an Infeasible verdict.
+    With memo (min_feasible_tau_routing's RoutingViewMemo of r), the views
+    and their seed paths come from the memo.
     """
     check_tau(tau)
     try:
-        views = routing_to_config(r, tau)
+        views = routing_to_config(r, tau, memo)
     except NoFeasiblePath as exc:
         return Infeasible(str(exc))
-    columns = [
-        {lex_shortest_path(r.graph, v.edge_ids, v.truncated, v.source, v.sink)} for v in views
-    ]
+    columns = [{v.seed_path()} for v in views]
 
     for _ in range(CG_MAX_ROUNDS):
         cols = [(j, path) for j, paths in enumerate(columns) for path in sorted(paths)]
@@ -451,6 +488,8 @@ def solve_lpp_column_generation(r, tau):
 def min_feasible_tau_routing(r):
     """(tau, path-LP solution at tau) by threshold_search over column
     generation, up to the sum of each request's cheapest expected path
-    cost."""
+    cost. The search's steps share one RoutingViewMemo, which builds each
+    request's view once per split."""
     hi = sum(r.min_expected_cost(j) for j in range(r.n))
-    return threshold_search(lambda t: solve_lpp_column_generation(r, t), hi)
+    memo = RoutingViewMemo(r)
+    return threshold_search(lambda t: solve_lpp_column_generation(r, t, memo), hi)

@@ -2,10 +2,13 @@
 reference_phase1): phase1_model hands HiGHS the same CSC matrix, costs and
 row bounds, and x, the objective, both blocks of row duals and the
 iteration count come back bit for bit, on LP_C builds (the session's first
-model included), column-generation masters and small random programs. Non-finite input, a coefficient past HiGHS's limit, a failed model
-and a solution that breaks a row raise NumericalFailure."""
+model included), column-generation masters and small random programs.
+master's one-column shortcut gives HiGHS's verdict and weights bit for bit.
+Non-finite input, a coefficient past HiGHS's limit, a failed model and a
+solution that breaks a row raise NumericalFailure."""
 
 import importlib.util
+import math
 import re
 from pathlib import Path
 
@@ -15,11 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfgbal import lp
-from cfgbal.instances import unrelated_to_config
+from cfgbal.distributions import point_mass
+from cfgbal.instances import Configuration, ConfigInstance, Request, unrelated_to_config
 from cfgbal.lp import (
+    FEAS_TOL,
     Infeasible,
     LinearProgram,
     NumericalFailure,
+    build_lpc,
+    master,
     min_feasible_tau,
     min_feasible_tau_routing,
     phase1_model,
@@ -99,12 +106,103 @@ def test_lpc_builds_match_reference(phase1_programs, k):
         assert_matches_reference(program)
 
 
-@pytest.mark.parametrize("k", range(3))
+# grids whose search still builds masters: on grid 0 every step's first
+# master holds one fitting column per request, which master answers
+# without HiGHS
+@pytest.mark.parametrize("k", [1, 2, 4])
 def test_column_generation_masters_match_reference(phase1_programs, k):
     min_feasible_tau_routing(gen.grid_instance(1, k, 5, 3))
     assert len(phase1_programs) > 5
     for program in list(phase1_programs):
         assert_matches_reference(program)
+
+
+@pytest.fixture
+def one_column_masters(monkeypatch):
+    """(program, cols) of every master call whose program holds one column
+    per request (every request holds at least one in both LPs)."""
+    seen = []
+
+    def recording(program, cols):
+        if program.n_vars == program.n:
+            seen.append((program, list(cols)))
+        return master(program, cols)
+
+    monkeypatch.setattr(lp, "master", recording)
+    return seen
+
+
+def highs_master(monkeypatch, program, cols):
+    """master with the one-column shortcut declined: HiGHS's verdict."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_fits_at_one", lambda program: False)
+        return master(program, cols)[1]
+
+
+def shortcut_master(monkeypatch, program, cols):
+    """master's verdict, which must not reach HiGHS when the columns fit."""
+    with monkeypatch.context() as patch:
+        if lp._fits_at_one(program):
+            patch.setattr(lp, "linprog", unreachable_solver)
+        return master(program, cols)[1]
+
+
+def unreachable_solver(model, solver=None):
+    raise AssertionError("HiGHS solved a program whose one column per request fits")
+
+
+def assert_shortcut_matches_highs(monkeypatch, program, cols):
+    # repr tells 1.0 from 0.9999999999999998 and -0.0 from 0.0
+    assert repr(shortcut_master(monkeypatch, program, cols)) == repr(highs_master(monkeypatch, program, cols))
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_one_column_shortcut_matches_highs_on_searches(monkeypatch, one_column_masters, seed):
+    for n in (3, 6):
+        for k in range(8):
+            min_feasible_tau_routing(gen.grid_instance(seed, k, 5, n))
+    masters = list(one_column_masters)
+    fits = sum(lp._fits_at_one(program) for program, _ in masters)
+    assert 0 < fits < len(masters)
+    for program, cols in masters:
+        assert_shortcut_matches_highs(monkeypatch, program, cols)
+
+
+def test_one_column_shortcut_matches_highs_on_pruned_lpc(monkeypatch):
+    # at tau = 2 each request's second configuration (E[max] 3 or 4) is
+    # pruned; at tau = 1 the kept ones' mass 1 is exceptional, and the
+    # exceptional row's 2 is over 1
+    inst = ConfigInstance(2, [
+        Request(0, [Configuration([1, 0], point_mass(1)), Configuration([0, 1], point_mass(3))]),
+        Request(1, [Configuration([0, 1], point_mass(1)), Configuration([1, 0], point_mass(4))]),
+    ])
+    for tau, fits in ((2.0, True), (1.0, False)):
+        program, var_map = build_lpc(inst, tau)
+        assert program.n_vars == program.n == 2 and lp._fits_at_one(program) == fits
+        assert_shortcut_matches_highs(monkeypatch, program, var_map)
+    monkeypatch.setattr(lp, "linprog", unreachable_solver)
+    assert solve_lpc(inst, 2.0) == {0: [(0, 1.0)], 1: [(0, 1.0)]}
+
+
+def test_seed_row_one_ulp_over_t_reaches_highs(monkeypatch):
+    # one request whose seed column's edge row is one ulp over t: HiGHS's
+    # tolerance calls it feasible, at a weight x = t / row just below 1
+    t = 0.6
+    program = LinearProgram(1, 1, 1, t, [0, 1, 2], [0, 0, 0], [math.nextafter(t, math.inf), 0.0, 1.0])
+    assert not lp._fits_at_one(program)
+    models, real = [], lp.linprog
+
+    def spying(model, solver=None):
+        models.append(model)
+        return real(model, solver)
+
+    monkeypatch.setattr(lp, "linprog", spying)
+    res, verdict = master(program, [(0, (0,))])
+    assert len(models) == 1
+    expected = solve(program)
+    assert expected.fun <= FEAS_TOL and bits(res.x) == bits(expected.x)
+    assert verdict == {0: [((0,), max(float(expected.x[0]), 0.0))]}
+    assert verdict[0][0][1] == 0.9999999999999998
 
 
 COEFFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, -3.0])
