@@ -80,7 +80,7 @@ class DiscreteDistribution:
         values, probs = zip(*pairs)
         increasing = all(map(operator.lt, values, values[1:]))
         if not increasing:
-            pairs.sort(key=lambda vp: float(vp[0]))
+            pairs.sort(key=operator.itemgetter(0))  # exact: distinct values may share a float
             values, probs = zip(*pairs)
             increasing = all(map(operator.lt, values, values[1:]))
         total = sum(probs)

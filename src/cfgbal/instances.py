@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from numbers import Rational
 
 import numpy as np
@@ -201,7 +201,13 @@ class TailTable:
     s = bisect_left(breakpoints[p], tau), the breakpoints below tau are
     exactly the first s, so the kernel sums the same terms in the same
     order at tau as at the s-th point: the stored value is the kernel's
-    value at tau, bit for bit.
+    value at tau, bit for bit. The table computes those values without
+    calling the kernel, from one list per pair of the kernel's terms
+    (v * a) * p in support order: at a point x, with c = bisect_left over
+    the scaled values (the kernel's x_i < tau split), the truncated value
+    is the running sum accumulate(terms, initial=0) at c, which adds what
+    the kernel's sum() adds in the same order, and the exceptional value
+    is sum(terms[c:]).
 
     LP_C's coefficients are entries: configuration entry_config[e] in row
     entry_row[e] (resource i is row i, the exceptional row m, request j row
@@ -224,12 +230,16 @@ class TailTable:
             if p is None:
                 p = index[key] = len(self.pairs)
                 self.pairs.append((law, a))
-                points = [x for v, _ in law.support if (x := v * a)]
+                xs = [v * a for v, _ in law.support]
+                terms = [x * prob for x, (_, prob) in zip(xs, law.support)]
+                prefix = list(accumulate(terms, initial=0))
+                points = [x for x in xs if x]
                 self.breakpoints.append(points)
                 start.append(len(truncated))
                 for x in points + [math.inf]:
-                    truncated.append(float(law.truncated_mean(x, a)))
-                    exceptional.append(float(law.exceptional_mean(x, a)))
+                    c = bisect_left(xs, x)
+                    truncated.append(float(prefix[c]))
+                    exceptional.append(float(sum(terms[c:])))
             return p
 
         self.choices, emax, request_start = [], [], []

@@ -44,17 +44,24 @@ def request_stream(seed, request):
 
 def uniform_table(seed, requests, trials):
     """Array [trials, len(requests)] of the per-(trial, request) uniforms;
-    requests lists request ids."""
-    table = np.empty((trials, len(requests)))
-    for col, j in enumerate(requests):
-        table[:, col] = request_stream(seed, j).random(trials)
-    return table
+    requests lists request ids. It is the transpose of one row per request,
+    so each request's column is contiguous."""
+    table = np.empty((len(requests), trials))
+    for row, j in zip(table, requests):
+        request_stream(seed, j).random(out=row)
+    return table.T
 
 
 def support_indices(law, uniforms):
-    """Vectorized inverse CDF of a discrete law, as indices into its support."""
-    probs = np.cumsum([float(p) for _, p in law.support])
-    return np.minimum(np.searchsorted(probs, uniforms, side="right"), len(probs) - 1)
+    """Vectorized inverse CDF of a discrete law, as indices into its
+    support: the number of the first k - 1 running sums of its float
+    probabilities that are at most u. A u past the last running sum, which
+    rounding can leave below 1, thus picks the last point."""
+    cdf = np.cumsum([float(p) for _, p in law.support])
+    index = np.zeros(np.shape(uniforms), dtype=np.intp)
+    for c in cdf[:-1].tolist():
+        index += uniforms >= c
+    return index
 
 
 def law_quantiles(law, uniforms):
@@ -288,9 +295,11 @@ def simulate_policy(inst, policy, trials, seed, tau=None):
     """Estimate the expected makespan of a policy by independent trials.
 
     A NonAdaptiveAssignment commits each request's realized column in
-    ascending id order. Any other policy runs through its simulate(trials)
-    method, which commits into every trial of a Trials at once; adaptive
-    policies observe exactly the realizations of requests they committed.
+    ascending id order, and must assign every request: ValidationError
+    names the smallest one it omits. Any other policy runs through its
+    simulate(trials) method, which commits into every trial of a Trials at
+    once; adaptive policies observe exactly the realizations of requests
+    they committed.
     """
     sim = Trials(inst, trials, seed, tau)
     if isinstance(policy, NonAdaptiveAssignment):
@@ -298,6 +307,9 @@ def simulate_policy(inst, policy, trials, seed, tau=None):
             choice = policy.assignment[j]
             law = sim.effect(j, choice).law
             sim.commit(None, j, choice, sim.realized(j, law))
+        missing = set(sim.ids).difference(policy.assignment)
+        if missing:
+            raise ValidationError(f"policy assigns no choice to request {min(missing)}")
         return sim.report(sim.loads.mean(axis=0))
     if not hasattr(policy, "simulate"):
         raise TypeError(f"{type(policy).__name__} has no batched simulate(trials) method")

@@ -11,6 +11,7 @@ from cfgbal.instances import (
     ConfigInstance,
     Request,
     RoutingInstance,
+    UnrelatedInstance,
     gen_adaptivity_gap_instance,
 )
 
@@ -441,6 +442,22 @@ class TestArgumentErrors:
     def test_simulate_missing_choice(self, gap, tmp_path, capsys, choices):
         policy = self.policy(tmp_path, choices)
         assert run_cli("simulate", "--in", str(gap), "--policy-file", policy, "--trials", "10") == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_simulate_partial_policy(self, tmp_path, capsys):
+        # a policy that omits a request fails in simulate as in oracle eval,
+        # naming the omitted request, instead of simulating the rest
+        src = tmp_path / "two.json"
+        write_instance(UnrelatedInstance(1, [[point_mass(1)], [point_mass(2)]]), src)
+        policy = self.policy(tmp_path, {"0": 0})
+        assert run_cli("simulate", "--in", str(src), "--policy-file", policy, "--trials", "10") == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert "request 1" in captured.err
+        assert captured.out == ""
+        assert run_cli(
+            "oracle", "--in", str(src), "--what", "eval", "--tau", "2", "--policy-file", policy
+        ) == 1
         assert_one_error_line(capsys.readouterr().err)
 
     def test_oracle_eval_missing_choice(self, gap, tmp_path, capsys):

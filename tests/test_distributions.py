@@ -104,6 +104,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             d((1, 0.5), (1, 0.5))
 
+    @pytest.mark.parametrize(
+        "pairs, values",
+        [
+            # distinct values with one float value sort exactly, float first
+            (((Fraction(1, 3), 0.5), (1 / 3, 0.5)), [1 / 3, Fraction(1, 3)]),
+            (((10**20 + 1, Fraction(1, 2)), (10**20, Fraction(1, 2))), [10**20, 10**20 + 1]),
+            # a value without a finite float value sorts too
+            (((10**400, Fraction(1, 2)), (1, Fraction(1, 2))), [1, 10**400]),
+        ],
+    )
+    def test_unsorted_support_sorts_by_exact_value(self, pairs, values):
+        assert [v for v, _ in d(*pairs).support] == values
+
     def test_exact_sum_enforced(self):
         with pytest.raises(ValidationError):
             d((0, Fraction(1, 2)), (1, Fraction(1, 3)))

@@ -168,11 +168,19 @@ MULTIPLIER = st.sampled_from([1, 1.0, Fraction(1, 3), Fraction(3, 2), 3, 0.25, 2
 
 @st.composite
 def laws(draw):
-    exact = draw(st.booleans())
-    pool = EXACT_VALUES if exact else FLOAT_VALUES
-    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
-    p = Fraction(1, len(values)) if exact else 1.0 / len(values)
-    return DiscreteDistribution([(v, p) for v in values])
+    """Up to 8 points: exact values and probabilities, float ones, or a mix
+    of floats with ints and Fractions in both, whose terms the table's
+    running sums must add as the kernel's sum() does."""
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    pool = {"exact": EXACT_VALUES, "float": FLOAT_VALUES, "mixed": EXACT_VALUES + FLOAT_VALUES}[kind]
+    # unique by value: 1 and 1.0 would be one support point
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    k = len(values)
+    if kind == "mixed":
+        probs = draw(st.lists(st.sampled_from([Fraction(1, k), 1.0 / k]), min_size=k, max_size=k))
+    else:
+        probs = [Fraction(1, k) if kind == "exact" else 1.0 / k] * k
+    return DiscreteDistribution(list(zip(values, probs)))
 
 
 def probe_taus(table):

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfgbal.distributions import DiscreteDistribution, ValidationError, point_mass
 from cfgbal.instances import (
@@ -23,10 +26,12 @@ from cfgbal.oracle import (
 )
 from cfgbal.simulate import (
     NonAdaptiveAssignment,
+    Trials,
     estimate_expected_max,
     expmax_regime,
     simulate_adaptive_config,
     simulate_policy,
+    support_indices,
     uniform_table,
 )
 
@@ -52,6 +57,58 @@ class TestStreams:
         a = uniform_table(3, range(2), 50)
         b = uniform_table(3, range(2), 200)
         assert np.array_equal(a, b[:50])
+
+
+@st.composite
+def cdf_laws(draw):
+    """A law of 1 to 8 points with exact (Fraction) or float probabilities."""
+    weights = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=8))
+    total = sum(weights)
+    exact = draw(st.booleans())
+    probs = [Fraction(w, total) if exact else w / total for w in weights]
+    return DiscreteDistribution(list(zip(range(len(probs)), probs)))
+
+
+# a probability below one ulp of its running sum: two running sums are equal
+TINY = DiscreteDistribution([(0, 0.5), (1, 1e-17), (2, 0.5)])
+# running sums 0.7, 0.8999999999999999, 0.9999999999999999: the last is below 1
+SHORT = DiscreteDistribution([(0, 0.7), (1, 0.2), (2, 0.1)])
+
+
+def running_sums(law):
+    return list(accumulate(float(p) for _, p in law.support))
+
+
+def reference_indices(law, uniforms):
+    """Per u, the count of the law's first k - 1 running sums at most u."""
+    sums = running_sums(law)[:-1]
+    return [sum(c <= u for c in sums) for u in uniforms]
+
+
+class TestInverseCdf:
+    """support_indices against a pure-Python reference of its rule: the
+    index is the count of the first k - 1 running sums of the float
+    probabilities that are at most u."""
+
+    def test_edge_laws(self):
+        assert running_sums(TINY)[0] == running_sums(TINY)[1]
+        assert running_sums(SHORT)[-1] < 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(cdf_laws())
+    @example(TINY)
+    @example(SHORT)
+    def test_matches_reference(self, law):
+        probes = {0.0, math.nextafter(1.0, 0.0)}
+        for c in running_sums(law):
+            probes |= {c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)}
+        u = sorted(x for x in probes if 0.0 <= x < 1.0)
+        got = support_indices(law, np.array(u))
+        assert got.dtype == np.intp
+        assert got.tolist() == reference_indices(law, u)
+        # adaptive walks read the same rule through Trials.index
+        sim = Trials(ConfigInstance(1, [Request(3, [Configuration([1], law)])]), 64, seed=len(law.support))
+        assert sim.index(3, law).tolist() == reference_indices(law, sim.uniform(3).tolist())
 
 
 class TestSimulatePolicy:
@@ -165,6 +222,12 @@ class TestRequestIds:
         with pytest.raises(ValidationError, match="not unique"):
             twice = ConfigInstance(1, list(inst.requests) * 2)
             simulate_policy(twice, NonAdaptiveAssignment({7: 0}), 10, 0)
+
+    def test_partial_assignment_names_smallest_omitted_id(self):
+        law = DiscreteDistribution([(1, Fraction(1, 2)), (3, Fraction(1, 2))])
+        inst = ConfigInstance(1, [Request(j, [Configuration([1], law)]) for j in (9, 4, 17, 2)])
+        with pytest.raises(ValidationError, match=r"no choice to request 2$"):
+            simulate_policy(inst, NonAdaptiveAssignment({9: 0, 17: 0}), 10, 0)
 
     def test_streams_follow_ids(self):
         assert np.array_equal(uniform_table(3, [2, 0], 50), uniform_table(3, range(3), 50)[:, [2, 0]])
