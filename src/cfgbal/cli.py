@@ -145,16 +145,16 @@ def simulation_csv(report):
 
 
 def cmd_gen(args):
+    # the tiny kinds take --n and --m as maxima, which may not pass their caps
+    m = args.m if args.m is not None else 4 if args.kind in ("gap", "adversary") else 3
     if args.kind == "gap":
         tau = parse_tau(args.tau) if args.tau is not None else 2
-        inst = gen_adaptivity_gap_instance(args.m, tau)
+        inst = gen_adaptivity_gap_instance(m, tau)
     elif args.kind == "adversary":
-        inst = gen_clairvoyance_adversary_instance(args.m)
+        inst = gen_clairvoyance_adversary_instance(m)
     elif args.kind in ("config", "unrelated", "related"):
         rng = request_stream(args.seed, 0)
-        inst = random_tiny_instance(
-            args.kind, rng, n_max=min(args.n, 4), m_max=min(args.m, 3)
-        )
+        inst = random_tiny_instance(args.kind, rng, n_max=args.n, m_max=m)
     else:
         raise ValidationError(f"unknown generator kind {args.kind!r}")
     write_instance(inst, args.out)
@@ -229,10 +229,11 @@ def cmd_online(args):
         if args.algo == "routing":
             proxy = "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in sorted(rec.proxy)) + "}"
         else:
-            dense = [0.0] * width
+            # _fmt(0.0) is "0.0": only the admitted increments need formatting
+            dense = ["0.0"] * width
             for i, x in rec.proxy:
-                dense[i] = x
-            proxy = "(" + ", ".join(_fmt(v) for v in dense) + ")"
+                dense[i] = _fmt(x)
+            proxy = "(" + ", ".join(dense) + ")"
         pairs.append(
             (
                 f"request_{rec.request}",
@@ -335,7 +336,7 @@ def build_parser():
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("--kind", required=True,
                    choices=["gap", "adversary", "config", "unrelated", "related"])
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--tau", default=None)
     p.add_argument("--seed", type=int, default=0)

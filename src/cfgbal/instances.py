@@ -453,10 +453,17 @@ def unrelated_to_config(u):
 
 
 def related_to_unrelated(r):
-    """X_ij = X_j / s_i."""
+    """X_ij = X_j / s_i. Each job's law is scaled once per distinct factor
+    1 / s_i, keyed by the factor's type and value like TailTable's pairs
+    (1 and 1.0 scale a rational law into different types), so machines of
+    equal speed share one law object."""
+    slot = {}
+    slots = [slot.setdefault((f.__class__, f), len(slot)) for f in map(_invert, r.speeds)]
+    factors = [f for _, f in slot]
     jobs = []
     for law in r.jobs:
-        jobs.append(tuple(law.scale(_invert(s)) for s in r.speeds))
+        scaled = [law.scale(f) for f in factors]
+        jobs.append(tuple(scaled[k] for k in slots))
     return UnrelatedInstance(r.m, jobs)
 
 
@@ -787,8 +794,10 @@ def _tiny_law(rng, support_max, require_positive=False):
 
 def random_tiny_instance(kind, rng, n_max=4, m_max=3, q_max=3, support_max=3):
     """Reproducible random instance within oracle-tractable bounds."""
-    if n_max > 4 or m_max > 3 or q_max > 3 or support_max > 3:
-        raise ValidationError("bounds exceed oracle-tractable limits (4, 3, 3, 3)")
+    caps = (("n_max", n_max, 4), ("m_max", m_max, 3), ("q_max", q_max, 3), ("support_max", support_max, 3))
+    for name, value, cap in caps:
+        if value > cap:
+            raise ValidationError(f"{name} {value} exceeds the oracle-tractable cap {cap}")
     if n_max < 1 or m_max < 1:
         raise ValidationError(f"n_max and m_max must be at least 1, got {n_max} and {m_max}")
     n = int(rng.integers(1, n_max + 1))

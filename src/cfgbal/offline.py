@@ -16,6 +16,7 @@ import numpy as np
 from .distributions import ValidationError, check_tau
 from .instances import (
     RoutingRequestView,
+    check_float_loads,
     related_to_unrelated,
     smooth_machines,
     unrelated_to_config,
@@ -187,9 +188,11 @@ def offline_related(r, rng):
     """Offline related machines: smooth, reduce, run the configuration
     driver for a job-to-machine map, then list-schedule adaptively inside
     the assigned machine's speed group. Returns (policy, report); the policy
-    executes on the smoothed instance (policy.instance)."""
+    executes on the smoothed instance (policy.instance). ValidationError
+    when a job's largest value over the slowest smoothed speed, which
+    smoothing rounds down, is not a finite float."""
     smoothed, surviving = smooth_machines(r)
-    reduced = unrelated_to_config(related_to_unrelated(surviving))
+    reduced = unrelated_to_config(related_to_unrelated(check_float_loads(surviving)))
     report = offline_config_balancing(reduced, rng)
     if report.lp_status != "feasible":
         return None, report

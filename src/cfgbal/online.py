@@ -12,10 +12,11 @@ expectations; realized loads never enter the potential.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from .distributions import ValidationError, check_tau
-from .instances import NoFeasiblePath, RoutingRequestView, smooth_machines
+from .instances import NoFeasiblePath, RoutingRequestView, check_float_loads, smooth_machines
 
 
 def potential(loads, tau):
@@ -38,7 +39,12 @@ class PotentialState:
 
     @classmethod
     def fresh(cls, m, lam):
+        """Zero loads at the guess lam; ValidationError when tau = 2 * lam
+        is not a positive finite float (at tau = inf every potential term
+        is 1 and the cap never binds)."""
         tau = 2.0 * float(lam)
+        if not math.isfinite(tau):
+            raise ValidationError(f"threshold 2 * lambda for the guess lambda = {lam!r} is not a finite float")
         check_tau(tau)
         ell = math.log(2 * m + 2) / math.log(1.5)
         return cls([0.0] * (m + 1), tau, ell)
@@ -216,17 +222,28 @@ class RelatedBalancer:
 
     List scheduling compares realized truncated loads at the current
     threshold (values at or above tau stay out of the comparison, mirroring
-    the averaging argument that bounds per-machine truncated load). Those
-    loads are kept per phase: loads_tau is the threshold they are summed
-    at, and a step at a new threshold rebuilds them from the history."""
+    the averaging argument that bounds per-machine truncated load) and
+    sends the job to the group machine of least (load, id), so ties go to
+    the lowest id. Those loads are kept per phase: loads_tau is the
+    threshold they are summed at, and a step at a new threshold rebuilds
+    them from the history, together with one heap of (load, machine id)
+    per group whose top is that machine. Each step costs one heap
+    replacement, not a scan of the group.
+
+    A related job's largest value over the slowest smoothed speed must be
+    a finite float (check_float_loads): smoothing rounds speeds down, so
+    the original speeds can pass where the smoothed ones overflow."""
 
     def __init__(self, related, realize):
-        self.groups = smooth_machines(related)[0].renumbered()
+        groups, smoothed = smooth_machines(related)
+        check_float_loads(smoothed)
+        self.groups = groups.renumbered()
         self.m = len(self.groups)
         self.realize = realize
         self.history = []  # (machine id, realized scaled size)
         self.loads_tau = None
         self.loads = {}  # machine id -> truncated load at loads_tau
+        self.heaps = []  # per group, a heap of (loads entry, machine id)
         self.speed_of = {i: float(speed) for speed, _, ids in self.groups for i in ids}
 
     def min_expected_cost(self, job):
@@ -246,20 +263,24 @@ class RelatedBalancer:
         tau = state.tau
         if tau != self.loads_tau:
             self.loads_tau = tau
-            self.loads = self.truncated_loads(tau)
+            self.loads = loads = self.truncated_loads(tau)
+            self.heaps = [[(loads.get(i, 0.0), i) for i in ids] for _, _, ids in self.groups]
+            for heap in self.heaps:
+                heapq.heapify(heap)
         result = argmin_step(state, related_group_proxies(self.groups, job, tau))
         if result is None:
             return None
         group_idx, dphi, new_state, increments = result
-        _, _, ids = self.groups.groups[group_idx]
-        machine = min(ids, key=lambda i: (self.loads.get(i, 0.0), i))
+        heap = self.heaps[group_idx]
+        load, machine = heap[0]
         job_index = len(self.history)
         value = float(self.realize(job_index, job))
         scaled = value / self.speed_of[machine]
         self.history.append((machine, scaled))
         if scaled < tau:
             # same per-machine order of additions as a rescan
-            self.loads[machine] = self.loads.get(machine, 0.0) + scaled
+            self.loads[machine] = load = load + scaled
+            heapq.heapreplace(heap, (load, machine))
         return machine, dphi, new_state, increments
 
 

@@ -61,8 +61,8 @@ def to_config_instance(inst):
 
 def outcome_table(inst):
     """(table, D, P) of an exact configuration instance: D is the lcm of
-    the denominators of every a * v, P the lcm of the denominators of every
-    support probability.
+    the denominators of every a * v in lowest terms, P the lcm of the
+    denominators of every support probability.
 
     table is {request id: one (E[max_i X_i] * D * P, outcomes) per
     configuration}; outcomes holds one (v, p * P, a_max * v * D, increments)
@@ -71,16 +71,27 @@ def outcome_table(inst):
     walker holds a load L as the int L * D and reads these instead of
     recomputing L + a * v for all resources at every state; the value of a
     state with s requests left is then an int over D * P**s.
+
+    Each a * v is computed as an int pair (numerator, denominator) reduced
+    by math.gcd, not as a Fraction, so D is the same lcm a Fraction product
+    would give.
     """
-    products = {
-        r.id: [
-            [(v, p, [(i, a * v) for i, a in enumerate(c.multipliers) if a != 0]) for v, p in c.law.support]
-            for c in r.configs
-        ]
-        for r in inst.requests
-    }
+    products = {}
+    for r in inst.requests:
+        rows = products[r.id] = []
+        for c in r.configs:
+            nonzero = [(i, a.numerator, a.denominator) for i, a in enumerate(c.multipliers) if a != 0]
+            support = []
+            for v, p in c.law.support:
+                incs = []
+                for i, an, ad in nonzero:
+                    num, d = an * v.numerator, ad * v.denominator
+                    g = math.gcd(num, d)
+                    incs.append((i, num // g, d // g))
+                support.append((v, p, incs))
+            rows.append(support)
     points = [point for configs in products.values() for support in configs for point in support]
-    den = math.lcm(1, *(x.denominator for _, _, incs in points for _, x in incs))
+    den = math.lcm(1, *(d for _, _, incs in points for _, _, d in incs))
     pden = math.lcm(1, *(p.denominator for _, p, _ in points))
     table = {}
     for j, configs in products.items():
@@ -88,7 +99,7 @@ def outcome_table(inst):
         for support in configs:
             outcomes = []
             for v, p, incs in support:
-                increments = tuple((i, x.numerator * (den // x.denominator)) for i, x in incs)
+                increments = tuple((i, num * (den // d)) for i, num, d in incs)
                 # a_max * v is the largest a_i * v: multipliers are nonnegative
                 peak = max((x for _, x in increments), default=0)
                 outcomes.append((v, p.numerator * (pden // p.denominator), peak, increments))
@@ -240,7 +251,8 @@ def _policy_value(table, den, pden, loads, tau, decide, after=None, state=None):
     an outcome table (with its D and P) from int loads: decide(remaining
     ids, loads, state) -> (request, config, state) and after(state, request,
     config, k) -> state, the protocol cfgbal.simulate.Trials.walk runs
-    (state stays None without after). decide sees Fraction loads. A None
+    (state stays None without after). decide sees the walk's loads, ints
+    over D (a decide that reads them as numbers divides by D). A None
     decision or a KeyError is an IncompletePolicy.
 
     The walk holds loads as ints over D, and the makespan and exceptional
@@ -256,7 +268,7 @@ def _policy_value(table, den, pden, loads, tau, decide, after=None, state=None):
         if cached is not None:
             return cached
         try:
-            decision = decide(remaining, tuple(Fraction(x, den) for x in loads), state)
+            decision = decide(remaining, loads, state)
         except KeyError:
             decision = None
         if decision is None:
@@ -290,12 +302,12 @@ def evaluate_policy(inst, policy, tau):
     which sees Fraction loads."""
     check_tau(tau)
     inst = to_config_instance(inst)
+    table, den, pden = outcome_table(inst)
 
     def decide(remaining, loads, _):
-        decision = policy(remaining, loads)
+        decision = policy(remaining, tuple(Fraction(x, den) for x in loads))
         return None if decision is None else (*decision, None)
 
-    table, den, pden = outcome_table(inst)
     return _policy_value(table, den, pden, (0,) * inst.m, Fraction(tau), decide)
 
 

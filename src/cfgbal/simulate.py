@@ -113,7 +113,8 @@ class Trials:
     order as L + a * v, with a = float(a) for configurations, 1.0 for
     unrelated machines, 1.0 / float(speed) for related machines and
     1.0 / float(capacity) on each edge of a route; a realization with
-    a_max * v >= tau adds a_max * v to the trial's exceptional total.
+    a_max * v >= tau adds a_max * v to the trial's exceptional total. For
+    machine instances, machine_mult holds each machine's a.
     """
 
     def __init__(self, inst, trials, seed, tau=None):
@@ -133,6 +134,10 @@ class Trials:
         self.uniforms = uniform_table(seed, self.ids, trials)
         self.loads = np.zeros((trials, inst.m))
         self.exc = np.zeros(trials)
+        if isinstance(inst, RelatedInstance):
+            self.machine_mult = np.array([1.0 / float(s) for s in inst.speeds])
+        elif isinstance(inst, UnrelatedInstance):
+            self.machine_mult = np.ones(inst.m)
         self._effects = {}
         self._index = {}
 
@@ -145,11 +150,15 @@ class Trials:
             effect = self._effects[key] = self._build(j, choice)
         return effect
 
-    def _build(self, j, choice):
-        inst = self.inst
+    def _position(self, j):
         k = self.position.get(j)
         if k is None:
             raise ValidationError(f"policy chose request {j!r}; the instance has no such request")
+        return k
+
+    def _build(self, j, choice):
+        inst = self.inst
+        k = self._position(j)
         if isinstance(inst, ConfigInstance):
             configs = inst.requests[k].configs
             _require(choice, len(configs), "configuration", f"request {j}")
@@ -163,9 +172,8 @@ class Trials:
             edges = sorted(choice)
             return _effect(law, edges, [1.0 / float(inst.edges[e][2]) for e in edges])
         _require(choice, inst.m, "machine", f"request {j}")
-        if isinstance(inst, UnrelatedInstance):
-            return _effect(inst.jobs[k][choice], [choice], [1.0])
-        return _effect(inst.jobs[k], [choice], [1.0 / float(inst.speeds[choice])])
+        law = inst.jobs[k][choice] if isinstance(inst, UnrelatedInstance) else inst.jobs[k]
+        return _effect(law, [choice], [float(self.machine_mult[choice])])
 
     def uniform(self, j):
         return self.uniforms[:, self.position[j]]
@@ -199,17 +207,21 @@ class Trials:
 
     def commit_each(self, j, choices, x):
         """Commit request j in every trial with a per-trial machine choice,
-        realizing x per trial (a machine's effect is one resource). Each
-        (job, machine) pair comes up once, so its effect is not memoized."""
-        options = np.unique(choices)
-        effects = [self._build(j, c) for c in options.tolist()]
-        pos = np.searchsorted(options, choices)
-        resource = np.array([e.resources[0] for e in effects])[pos]
-        mult = np.array([e.a_max for e in effects])[pos]
-        self.loads[np.arange(self.trials), resource] += mult * x
+        realizing x per trial, on an unrelated or related instance. A
+        trial's load grows by a * x on its machine, a read from one
+        per-machine float array (machine_mult), so a step costs a few array
+        operations whatever the number of machines. ValidationError names
+        an unknown request, or the smallest invalid machine."""
+        self._position(j)
+        m = self.inst.m
+        choices = np.asarray(choices)
+        invalid = choices[(choices < 0) | (choices >= m)]
+        if invalid.size:
+            _require(int(invalid.min()), m, "machine", f"request {j}")
+        added = self.machine_mult[choices] * x
+        self.loads[np.arange(self.trials), choices] += added
         if self.tau is not None:
-            peak = mult * x
-            self.exc += np.where(peak >= self.tau, peak, 0.0)
+            self.exc += np.where(added >= self.tau, added, 0.0)
 
     def walk(self, decide, after=None, state=None):
         """Run a deterministic state policy in every trial.

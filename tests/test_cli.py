@@ -317,6 +317,12 @@ OVERFLOWING_ROUTE = (
     '{"kind": "routing", "vertices": 2, "edges": [[0, 1, 1e-300]], "requests": [[0, 1, [[1e300, 1.0]]]]}'
 )
 OVERFLOWING_SPEED = '{"kind": "related", "speeds": [1e-300, 1.0], "jobs": [[[1e300, 0.5], [1.0, 0.5]]]}'
+# 1e308 / 0.577 is finite, but smoothing rounds 0.577 down to 0.5, and the
+# first guess lambda = 1e308 doubles to tau = inf
+OVERFLOWING_THRESHOLD = (
+    '{"kind": "related", "speeds": [1.0, 0.5773502691896258, 0.5773502691896258], '
+    '"jobs": [[[1e+308, 1]], [[0.5773502691896258, 1]], [[0.5773502691896258, 1]]]}'
+)
 
 
 class TestBeyondFloats:
@@ -400,6 +406,24 @@ class TestBeyondFloats:
         captured = capsys.readouterr()
         assert_one_error_line(captured.err)
         assert "error: job 0 machine 0: largest load 1e+300 / 1e-300 is not a finite float" in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("online", "--algo", "related"), "error: job 0 machine 1: largest load 1e+308 / 0.5 is not a finite float"),
+            (("offline", "--algo", "related"), "error: job 0 machine 1: largest load 1e+308 / 0.5 is not a finite float"),
+            (("online", "--algo", "config"), "error: threshold 2 * lambda for the guess lambda = 1e+308 is not"),
+        ],
+    )
+    def test_overflowing_online_threshold(self, tmp_path, capsys, argv, message):
+        src = tmp_path / "related.json"
+        src.write_text(OVERFLOWING_THRESHOLD)
+        assert run_cli(*argv, "--in", str(src)) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert message in captured.err
         assert captured.out == ""
 
 
@@ -567,6 +591,22 @@ class TestInputErrors:
         assert_one_error_line(captured.err)
         [line] = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert f"--tau {tau!r}" in line and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "50", "--m", "10"), "error: n_max 50 exceeds the oracle-tractable cap 4"),
+            (("--n", "4", "--m", "4"), "error: m_max 4 exceeds the oracle-tractable cap 3"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["config", "unrelated", "related"])
+    def test_gen_past_the_cap(self, tmp_path, capsys, kind, argv, message):
+        out = tmp_path / "inst.json"
+        assert run_cli("gen", "--kind", kind, *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", ["--n", "--m"])
     @pytest.mark.parametrize("kind", ["config", "unrelated", "related"])

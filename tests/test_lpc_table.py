@@ -9,20 +9,23 @@ warm-started session writes them by; and the table's looked-up values
 against the tail kernel itself."""
 
 import importlib.util
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cfgbal.distributions import DiscreteDistribution, point_mass
+from cfgbal.distributions import DiscreteDistribution, ValidationError, point_mass
 from cfgbal.instances import (
     Configuration,
     ConfigInstance,
+    RelatedInstance,
     Request,
+    UnrelatedInstance,
     related_to_unrelated,
     smooth_machines,
     unrelated_to_config,
@@ -220,3 +223,48 @@ def test_underflow_gives_equal_breakpoints():
     law = DiscreteDistribution([(3 * U, 0.5), (4 * U, 0.5)])
     inst = ConfigInstance(1, [Request(0, [Configuration([0.25], law)])])
     assert inst.tail_table().breakpoints == [[U, U]]
+
+
+# ---------------------------------------------------------------------------
+# the related reduction's shared laws
+
+# repeated speeds, and speeds of one value in two types: 1 and 1.0 give the
+# factors Fraction(1) and 1.0, which scale a rational law into other types;
+# no speed passes 1, since shrinking laws() values can merge subnormals
+SPEEDS = st.sampled_from([1, 1.0, Fraction(1, 2), 0.5, Fraction(2, 3), Fraction(1, 4), 0.25])
+
+
+def factor(s):
+    return 1 / Fraction(s) if isinstance(s, (int, Fraction)) else 1.0 / s
+
+
+def typed(law):
+    return [(type(v), v, type(p), p) for v, p in law.support]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(SPEEDS, min_size=1, max_size=6), st.lists(laws(), min_size=1, max_size=3))
+def test_related_reduction_shares_a_law_per_factor(speeds, jobs):
+    """Two machines share a job's scaled law exactly when their factors
+    1 / s match in type and value; each law is the job's law scaled by its
+    own factor, and LP_C over the shared reduction is LP_C over one that
+    scales every (job, machine) pair apart, at every breakpoint."""
+    try:
+        rows = [[law.scale(factor(s)) for s in speeds] for law in jobs]
+    except ValidationError:  # a float factor can round 1/3 and 1/3.0 to one value
+        assume(False)
+    r = RelatedInstance(speeds, jobs)
+    u = related_to_unrelated(r)
+    keys = [(type(factor(s)), factor(s)) for s in speeds]
+    for row, want in zip(u.jobs, rows):
+        for i, k in itertools.product(range(r.m), repeat=2):
+            assert (row[i] is row[k]) == (keys[i] == keys[k])
+        assert [typed(x) for x in row] == [typed(x) for x in want]
+    shared = unrelated_to_config(u)
+    apart = unrelated_to_config(UnrelatedInstance(r.m, rows))
+    for tau in probe_taus(shared.tail_table()):
+        program, var_map = build_lpc(shared, tau)
+        want, want_map = build_lpc(apart, tau)
+        assert var_map == want_map and rows_of(program) == rows_of(want)
+        assert program.row.tolist() == want.row.tolist() and program.col.tolist() == want.col.tolist()
+        assert bits(program.val) == bits(want.val), tau

@@ -295,6 +295,45 @@ def cycle_support(j, law):
     return law.support[j % len(law.support)][0]
 
 
+# repeated speeds make groups of several machines, and equal sizes and
+# zeros make their loads tie; sizes of 40 reach tau
+SPEEDS = (1, 1.0, Fraction(1, 2), 0.5, 0.25, 2, 0.75)
+JOBS = (
+    point_mass(0),
+    point_mass(Fraction(1, 2)),
+    point_mass(1),
+    DiscreteDistribution([(0, Fraction(1, 2)), (1, Fraction(1, 2))]),
+    DiscreteDistribution([(Fraction(1, 2), Fraction(3, 4)), (40, Fraction(1, 4))]),
+    DiscreteDistribution([(0.25, 0.5), (3.0, 0.5)]),
+)
+
+
+def run_checked(inst, realize):
+    """run_online_related with every step checked against a rescan of the
+    history: after the step the kept loads equal the rescan at its tau,
+    and the chosen machine is the least (rescan load, id) of its group
+    before the step. Returns (run, balancer, whether each step admitted)."""
+    step = RelatedBalancer.step
+    outcomes = []
+
+    def checked_step(self, state, job):
+        before = self.truncated_loads(state.tau)
+        result = step(self, state, job)
+        assert self.loads_tau == state.tau
+        assert self.loads == self.truncated_loads(state.tau)
+        if result is not None:
+            machine = result[0]
+            [ids] = [ids for _, _, ids in self.groups if machine in ids]
+            assert machine == min(ids, key=lambda i: (before.get(i, 0.0), i))
+        outcomes.append(result is not None)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RelatedBalancer, "step", checked_step)
+        run, inner = run_online_related(inst, realize)
+    return run, inner, outcomes
+
+
 class TestRelatedBalancer:
     def test_one_proxy_pass_per_attempted_step(self, monkeypatch):
         calls = {"proxies": 0, "steps": 0}
@@ -315,22 +354,19 @@ class TestRelatedBalancer:
         assert run.phases == 3
         assert calls["proxies"] == calls["steps"] == inst.n + run.phases - 1
 
-    def test_kept_loads_equal_a_rescan_after_every_step(self, monkeypatch):
-        step = RelatedBalancer.step
-        outcomes = []
-
-        def checked_step(self, state, job):
-            result = step(self, state, job)
-            assert self.loads_tau == state.tau
-            assert self.loads == self.truncated_loads(state.tau)
-            outcomes.append(result is not None)
-            return result
-
-        monkeypatch.setattr(RelatedBalancer, "step", checked_step)
-        run, inner = run_online_related(multi_phase_related(), cycle_support)
+    def test_kept_loads_equal_a_rescan_after_every_step(self):
+        run, inner, outcomes = run_checked(multi_phase_related(), cycle_support)
         assert run.phases == 3 and not all(outcomes)
         tau = run.state.tau
         assert any(scaled >= tau for _, scaled in inner.history)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.sampled_from(SPEEDS), min_size=1, max_size=12),
+        st.lists(st.sampled_from(JOBS), min_size=1, max_size=40),
+    )
+    def test_choice_is_a_rescan_argmin_with_repeated_speeds(self, speeds, jobs):
+        run_checked(RelatedInstance(speeds, jobs), cycle_support)
 
 
 class TestOnlineRouting:

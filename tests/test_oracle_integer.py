@@ -1,6 +1,7 @@
 """The integer oracle walkers against the Fraction references of
 tests/conftest.py, and the load grid at the oracle's public boundary."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,15 @@ from cfgbal.oracle import (
     StateSpaceExceeded,
     evaluate_policy,
     non_adaptive_policy,
+    outcome_table,
+    to_config_instance,
 )
 from cfgbal.simulate import simulate_adaptive_config
 
 from conftest import (
     ReferenceOracle,
     reference_evaluate_policy,
+    reference_outcome_table,
     reference_restart_value,
 )
 
@@ -33,31 +37,61 @@ PROBS = {
 }
 
 
+# exact products that reduce: (2/3) * (3/4) = 1/2, (4/3) * (3/2) = 2, (8/3) * (9/8) = 3
+REDUCING_VALUES = (0, Fraction(3, 4), Fraction(3, 2), Fraction(9, 8), Fraction(1, 3), 1, 3)
+REDUCING_MULTS = (0, Fraction(2, 3), Fraction(4, 3), Fraction(8, 3), Fraction(1, 2), 1, 2)
+
+
 @st.composite
-def laws(draw):
+def laws(draw, values=VALUES):
     size = draw(st.integers(1, 3))
-    values = draw(st.lists(st.sampled_from(VALUES), min_size=size, max_size=size, unique=True))
+    values = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size, unique=True))
     probs = draw(st.sampled_from(PROBS[size]))
     return DiscreteDistribution(list(zip(values, probs)))
 
 
 @st.composite
-def instances(draw):
+def instances(draw, values=VALUES, mults=MULTS):
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
     requests = []
     for j in range(n):
         q = draw(st.integers(1, 2))
         configs = [
-            Configuration(draw(st.lists(st.sampled_from(MULTS), min_size=m, max_size=m)), draw(laws()))
+            Configuration(draw(st.lists(st.sampled_from(mults), min_size=m, max_size=m)), draw(laws(values)))
             for _ in range(q)
         ]
         requests.append(Request(j, configs))
     return ConfigInstance(m, requests)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(instances(), instances(REDUCING_VALUES, REDUCING_MULTS)))
+def test_outcome_table_is_the_reference_times_d_and_p(inst):
+    """The int table is the Fraction table scaled by D and P, with D and P
+    the lcm of the reduced denominators of every a * v and every p."""
+    inst = to_config_instance(inst)
+    table, den, pden = outcome_table(inst)
+    ref = reference_outcome_table(inst)
+    points = [point for rows in ref.values() for _, _, outcomes in rows for point in outcomes]
+    assert den == math.lcm(1, *(x.denominator for _, _, _, increments in points for _, x in increments))
+    assert pden == math.lcm(1, *(p.denominator for _, p, _, _ in points))
+    assert table.keys() == ref.keys()
+    for j, rows in ref.items():
+        want = tuple(
+            (
+                emax * den * pden,
+                tuple((v, p * pden, peak * den, tuple((i, x * den) for i, x in incs)) for v, p, peak, incs in outs),
+            )
+            for emax, _, outs in rows
+        )
+        assert table[j] == want
+        ints = [x for emax, outs in table[j] for _, p, peak, incs in outs for x in (emax, p, peak, *dict(incs).values())]
+        assert all(type(x) is int for x in ints)
+
+
 @settings(max_examples=60, deadline=None)
-@given(instances(), st.data())
+@given(st.one_of(instances(), instances(REDUCING_VALUES, REDUCING_MULTS)), st.data())
 def test_integer_walkers_match_fraction_references(inst, data):
     oracle = AdaptiveOracle(inst)
     ref = ReferenceOracle(inst)

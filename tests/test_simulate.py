@@ -14,6 +14,7 @@ from cfgbal.instances import (
     RelatedInstance,
     Request,
     RoutingInstance,
+    UnrelatedInstance,
     gen_adaptivity_gap_instance,
 )
 from cfgbal.offline import GroupListSchedulePolicy, offline_related
@@ -36,6 +37,7 @@ from cfgbal.simulate import (
 )
 
 from conftest import (
+    reference_choice_law_and_effect,
     reference_group_list_run,
     reference_restart_run,
     reference_simulate_adaptive_config,
@@ -206,6 +208,62 @@ def binary_exact(inst):
 def relisted(inst, order):
     """The same configuration instance with its requests listed in order."""
     return ConfigInstance(inst.m, [inst.requests[k] for k in order])
+
+
+class TestCommitEach:
+    """Trials.commit_each against the per-option effects of conftest's
+    reference_choice_law_and_effect, committed trial by trial."""
+
+    # 1.0 / float(5/9) is 1.7999999999999998, float(9/5) is 1.8
+    SPEEDS = (1, 1.0, Fraction(5, 9), 0.3, 2, Fraction(5, 2))
+
+    @staticmethod
+    def reference(sim, j, choices, x):
+        for t, (c, v) in enumerate(zip(choices.tolist(), x.tolist())):
+            _, mult, a_max = reference_choice_law_and_effect(sim.inst, j, c)
+            sim.loads[t, c] += mult[c] * v
+            if sim.tau is not None and a_max * v >= sim.tau:
+                sim.exc[t] += a_max * v
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from(SPEEDS), min_size=1, max_size=5),
+        st.sampled_from(["related", "unrelated"]),
+        st.sampled_from([None, 0.5, 2.0]),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_option_effects(self, speeds, kind, tau, jobs, seed):
+        law = DiscreteDistribution([(0.25, Fraction(1, 2)), (Fraction(7, 3), Fraction(1, 2))])
+        m = len(speeds)
+        if kind == "related":
+            inst = RelatedInstance(speeds, [law] * jobs)
+        else:
+            inst = UnrelatedInstance(m, [[law.scale(s) for s in speeds]] * jobs)
+        got, want = Trials(inst, 40, seed, tau), Trials(inst, 40, seed, tau)
+        rng = np.random.default_rng(seed)
+        for j in range(jobs):
+            choices = rng.integers(0, m, size=40)
+            x = rng.uniform(0.0, 3.0, size=40)
+            got.commit_each(j, choices, x)
+            self.reference(want, j, choices, x)
+        assert got.loads.tobytes() == want.loads.tobytes()
+        assert got.exc.tobytes() == want.exc.tobytes()
+
+    @pytest.mark.parametrize(
+        "j, choices, message",
+        [
+            (0, [1, 5, -2, 3, 0], "policy chose machine -2; request 0 has 3"),
+            (1, [4, 3, 0], "policy chose machine 3; request 1 has 3"),
+            (7, [0, 0, 0], "policy chose request 7; the instance has no such request"),
+        ],
+    )
+    def test_names_the_smallest_invalid_machine(self, j, choices, message):
+        sim = Trials(RelatedInstance([1, 2, 2], [point_mass(1)] * 2), len(choices), 0)
+        with pytest.raises(ValidationError) as err:
+            sim.commit_each(j, np.array(choices), np.ones(len(choices)))
+        assert str(err.value) == message
+        assert not sim.loads.any()
 
 
 class TestRequestIds:
