@@ -128,8 +128,8 @@ class DiscreteDistribution:
         scan of the support, no scaled copy. Each term is (v * a) * p,
         summed by sum() in support order, so the result equals, in value and
         type, the truncated mean of the copy self.scale(a) whenever that copy
-        can be built (scale rejects a factor that merges support points, e.g.
-        by underflow to 0.0; the kernel does not need the copy).
+        keeps every support point (scale merges points that coincide once
+        scaled, e.g. by underflow to 0.0, and the kernel does not).
         """
         check_factor(factor)
         check_tau(tau)
@@ -153,9 +153,15 @@ class DiscreteDistribution:
         return sum(terms)
 
     def scale(self, factor):
-        """Distribution of factor * X for factor > 0."""
+        """Distribution of factor * X for factor > 0; values that coincide
+        once scaled merge into the first one, adding their probabilities
+        (a float sum past 1 by rounding is 1.0)."""
         check_factor(factor)
-        return DiscreteDistribution([(v * factor, p) for v, p in self.support])
+        merged = {}
+        for v, p in self.support:
+            x = v * factor
+            merged[x] = min(merged[x] + p, 1.0) if x in merged else p
+        return DiscreteDistribution(merged.items())
 
     def sample(self, rng):
         """Draw one realization using the caller-owned numpy Generator."""

@@ -370,6 +370,7 @@ class RoutingInstance:
         for j, (s, t, _) in enumerate(self.requests):
             if not reachable(self.graph, range(self.m), s, t):
                 raise NoFeasiblePath(f"request {j}: no directed path {s} -> {t}")
+        self._view_memo = None
 
     @property
     def m(self):
@@ -379,6 +380,12 @@ class RoutingInstance:
     @property
     def n(self):
         return len(self.requests)
+
+    def view_memo(self):
+        """This instance's RoutingViewMemo, built on the first call."""
+        if self._view_memo is None:
+            self._view_memo = RoutingViewMemo(self)
+        return self._view_memo
 
     def min_expected_cost(self, j):
         """E[X_j] over the widest source-sink capacity: the least expected
@@ -546,7 +553,8 @@ class RoutingRequestView:
     floats; truncated[e] is E[X_ej^T] for each admissible edge, priced once
     per distinct capacity; the exceptional part of a path sits at its
     bottleneck edge. Paths are found by walks over the admissible edges,
-    never materialized as a configuration list.
+    never materialized as a configuration list; building a view walks
+    nothing, and seed_path() and best_path() give None when no path exists.
     """
 
     __slots__ = (
@@ -562,22 +570,17 @@ class RoutingRequestView:
         caps = instance.capacities
         mean, t = float(self.law.mean()), float(tau)
         self.edge_ids = tuple(e for e in range(instance.m) if mean / caps[e] <= t)
-        if not reachable(instance.graph, self.edge_ids, self.source, self.sink):
-            raise NoFeasiblePath(
-                f"request {index}: admissible edges disconnect {self.source} -> {self.sink}"
-            )
-        by_cap = {}
-        for e in self.edge_ids:
-            if caps[e] not in by_cap:
-                by_cap[caps[e]] = float(self.law.truncated_mean(tau, 1.0 / caps[e]))
+        distinct = dict.fromkeys(caps[e] for e in self.edge_ids)  # in edge order
+        by_cap = {c: float(self.law.truncated_mean(tau, 1.0 / c)) for c in distinct}
         self.truncated = {e: by_cap[caps[e]] for e in self.edge_ids}
         self._exceptional = {}  # bottleneck capacity -> exceptional part
-        self._seed = None
+        self._seed = ...  # not walked yet; None is a missing path
 
     def seed_path(self):
         """The lex-shortest source-sink path under the truncated weights,
-        found once per view: column generation's first column."""
-        if self._seed is None:
+        or None if the admissible edges hold none, found by one walk per
+        view: column generation's first column."""
+        if self._seed is ...:
             self._seed = lex_shortest_path(
                 self.instance.graph, self.edge_ids, self.truncated, self.source, self.sink
             )
@@ -600,13 +603,8 @@ class RoutingRequestView:
         winning ties, or None if no guess yields a path."""
         r = self.instance
         best = None
-        seen_caps = set()
         caps = r.capacities
-        for ebar in self.edge_ids:
-            cap = caps[ebar]
-            if cap in seen_caps:
-                continue
-            seen_caps.add(cap)
+        for cap in dict.fromkeys(caps[e] for e in self.edge_ids):
             sub = tuple(e for e in self.edge_ids if caps[e] >= cap)
             path = lex_shortest_path(r.graph, sub, weights, self.source, self.sink)
             if path is None:
@@ -615,22 +613,19 @@ class RoutingRequestView:
             key = (value, path_key(r.edges, path))
             if best is None or key < best[0]:
                 best = (key, path, value)
-        if best is None:
-            return None
-        return best[1], best[2]
+        return None if best is None else best[1:]
 
 
 class RoutingViewMemo:
-    """The RoutingRequestViews of one threshold search over r, built once
-    per (request, split). A view reads tau only through the tail kernel's
-    partition x < tau of each x = v * (1.0 / c), over its law's support
-    values v and the distinct capacities c, and through the admissibility
-    rule float(mean) / c <= float(tau). So the split is one bisect_left
-    per capacity over the x and the count of thresholds float(mean) / c at
-    or below float(tau), and views with one split are equal in every bit.
-    A memoized view keeps the tau it was built at, its exceptional parts
-    and its seed path. A split that disconnects the request raises a new
-    NoFeasiblePath with the same message each time."""
+    """The RoutingRequestViews of one routing instance (its view_memo()),
+    built once per (request, split). A view reads tau only through the tail
+    kernel's partition x < tau of each x = v * (1.0 / c), over its law's
+    support values v and the distinct capacities c, and through the
+    admissibility rule float(mean) / c <= float(tau). So the split is one
+    bisect_left per capacity over the x and the count of thresholds
+    float(mean) / c at or below float(tau), and views with one split are
+    equal in every bit. A memoized view keeps the tau it was built at, its
+    exceptional parts and its seed path, a missing one included."""
 
     __slots__ = ("instance", "scaled", "thresholds", "views")
 
@@ -642,30 +637,27 @@ class RoutingViewMemo:
             self.scaled.append([[v * (1.0 / c) for v, _ in law.support] for c in caps])
             mean = float(law.mean())
             self.thresholds.append(sorted(mean / c for c in caps))
-        self.views = {}  # (request, split) -> view, or the NoFeasiblePath message
+        self.views = {}  # (request, split) -> view
 
     def view(self, j, tau):
         """RoutingRequestView(r, j, tau), from the memo."""
         split = (bisect_right(self.thresholds[j], float(tau)), *(bisect_left(x, tau) for x in self.scaled[j]))
         view = self.views.get((j, split))
         if view is None:
-            try:
-                view = RoutingRequestView(self.instance, j, tau)
-            except NoFeasiblePath as exc:
-                view = str(exc)
-            self.views[j, split] = view
-        if isinstance(view, str):
-            raise NoFeasiblePath(view)
+            view = self.views[j, split] = RoutingRequestView(self.instance, j, tau)
         return view
 
 
-def routing_to_config(r, tau, memo=None):
-    """Per-request implicit configuration views at threshold tau, fresh, or
-    from memo, a RoutingViewMemo of r."""
+def routing_to_config(r, tau):
+    """Per-request views at threshold tau from r's view memo; a new
+    NoFeasiblePath for the first request without a seed path."""
     check_tau(tau)
-    if memo is None:
-        return [RoutingRequestView(r, j, tau) for j in range(r.n)]
-    return [memo.view(j, tau) for j in range(r.n)]
+    memo, views = r.view_memo(), []
+    for j in range(r.n):
+        views.append(view := memo.view(j, tau))
+        if view.seed_path() is None:
+            raise NoFeasiblePath(f"request {j}: admissible edges disconnect {view.source} -> {view.sink}")
+    return views
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,10 @@ those of a fresh search, and confirms the verdict that ended the search;
 a contradiction raises NumericalFailure. check_phase1_input and
 accept_phase1 hold on both paths.
 
-The routing search's steps share one instances.RoutingViewMemo, which
-builds each request's view and seed path once per split of tau (the tail
-kernel's partition and the admissibility thresholds at or below tau), so
-the search returns what fresh views give.
+Column generation reads its views from the instance's RoutingViewMemo, as
+LP_C reads its tail table: a view and its seed path are built once per
+split of tau (the tail kernel's partition and the admissibility thresholds
+at or below tau), so the search's steps return what fresh views give.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 from scipy.optimize._highspy import _core as highs
 
 from .distributions import check_tau
-from .instances import NoFeasiblePath, RoutingViewMemo, routing_to_config
+from .instances import NoFeasiblePath, routing_to_config
 
 FEAS_TOL = 1e-9
 EPS = 1e-3  # relative precision of the threshold search
@@ -380,7 +380,9 @@ def threshold_search(solve, hi):
     found feasible at that tau, or (0.0, None) when hi <= 0. Every midpoint
     taken as the lower end was found infeasible, and the last one is at
     least tau * (1 - EPS). Feasibility need not be monotone in tau, so tau
-    is not claimed to be the smallest feasible threshold."""
+    is not claimed to be the smallest feasible threshold. An upper end
+    whose EPS * hi underflows to 0.0 raises NumericalFailure naming it, so
+    every midpoint lies strictly inside (lo, hi)."""
     if hi <= 0:
         return 0.0, None
     sol = solve(hi)
@@ -388,6 +390,8 @@ def threshold_search(solve, hi):
         raise _no_feasible_tau(hi, sol)
     lo = 0.0
     while hi - lo > EPS * hi:
+        if EPS * hi == 0.0:
+            raise NumericalFailure(f"threshold search upper end tau={hi} is too small: EPS * tau underflows to 0.0")
         mid = 0.5 * (lo + hi)
         trial = solve(mid)
         if isinstance(trial, Infeasible):
@@ -433,7 +437,7 @@ def min_feasible_tau(inst):
 # routing: the path LP by primal column generation
 
 
-def solve_lpp_column_generation(r, tau, memo=None):
+def solve_lpp_column_generation(r, tau):
     """Feasibility of the path LP at tau by primal column generation.
 
     Maintains one admissible seed path per request, alternates solving the
@@ -441,12 +445,11 @@ def solve_lpp_column_generation(r, tau, memo=None):
     bottleneck-edge-guessing shortest-path routine
     (RoutingRequestView.best_path), and stops when no improving column
     exists. Returns {request: [(path, weight)]} or an Infeasible verdict.
-    With memo (min_feasible_tau_routing's RoutingViewMemo of r), the views
-    and their seed paths come from the memo.
+    The views and their seed paths come from routing_to_config, so from
+    r's view memo.
     """
-    check_tau(tau)
     try:
-        views = routing_to_config(r, tau, memo)
+        views = routing_to_config(r, tau)
     except NoFeasiblePath as exc:
         return Infeasible(str(exc))
     columns = [{v.seed_path()} for v in views]
@@ -488,8 +491,7 @@ def solve_lpp_column_generation(r, tau, memo=None):
 def min_feasible_tau_routing(r):
     """(tau, path-LP solution at tau) by threshold_search over column
     generation, up to the sum of each request's cheapest expected path
-    cost. The search's steps share one RoutingViewMemo, which builds each
+    cost. The search's steps share r's view memo, which builds each
     request's view once per split."""
     hi = sum(r.min_expected_cost(j) for j in range(r.n))
-    memo = RoutingViewMemo(r)
-    return threshold_search(lambda t: solve_lpp_column_generation(r, t, memo), hi)
+    return threshold_search(lambda t: solve_lpp_column_generation(r, t), hi)

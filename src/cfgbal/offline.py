@@ -15,9 +15,9 @@ import numpy as np
 
 from .distributions import ValidationError, check_tau
 from .instances import (
-    RoutingRequestView,
     check_float_loads,
     related_to_unrelated,
+    routing_to_config,
     smooth_machines,
     unrelated_to_config,
 )
@@ -113,11 +113,12 @@ def offline_config_balancing(inst, rng):
 
 def routing_assignment_loads(r, assignment, tau):
     """Per-edge expected truncated load and total expected exceptional load
-    of fixed paths."""
+    of fixed paths, priced by the views routing_to_config gives at tau."""
+    views = routing_to_config(r, tau)
     loads = [0.0] * r.m
     exc = 0.0
     for j, path in assignment.items():
-        view = RoutingRequestView(r, j, tau)
+        view = views[j]
         exc += view.exceptional(path)
         for e in path:
             loads[e] += view.truncated[e]

@@ -16,7 +16,7 @@ import heapq
 import math
 
 from .distributions import ValidationError, check_tau
-from .instances import NoFeasiblePath, RoutingRequestView, check_float_loads, smooth_machines
+from .instances import RoutingRequestView, check_float_loads, smooth_machines
 
 
 def potential(loads, tau):
@@ -224,10 +224,10 @@ class RelatedBalancer:
     threshold (values at or above tau stay out of the comparison, mirroring
     the averaging argument that bounds per-machine truncated load) and
     sends the job to the group machine of least (load, id), so ties go to
-    the lowest id. Those loads are kept per phase: loads_tau is the
+    the lowest id. Those loads are kept per phase in one heap of (load,
+    machine id) per group, whose top is that machine: loads_tau is the
     threshold they are summed at, and a step at a new threshold rebuilds
-    them from the history, together with one heap of (load, machine id)
-    per group whose top is that machine. Each step costs one heap
+    the heaps from a rescan of the history. Each step costs one heap
     replacement, not a scan of the group.
 
     A related job's largest value over the slowest smoothed speed must be
@@ -242,8 +242,7 @@ class RelatedBalancer:
         self.realize = realize
         self.history = []  # (machine id, realized scaled size)
         self.loads_tau = None
-        self.loads = {}  # machine id -> truncated load at loads_tau
-        self.heaps = []  # per group, a heap of (loads entry, machine id)
+        self.heaps = []  # per group, a heap of (truncated load at loads_tau, machine id)
         self.speed_of = {i: float(speed) for speed, _, ids in self.groups for i in ids}
 
     def min_expected_cost(self, job):
@@ -263,7 +262,7 @@ class RelatedBalancer:
         tau = state.tau
         if tau != self.loads_tau:
             self.loads_tau = tau
-            self.loads = loads = self.truncated_loads(tau)
+            loads = self.truncated_loads(tau)
             self.heaps = [[(loads.get(i, 0.0), i) for i in ids] for _, _, ids in self.groups]
             for heap in self.heaps:
                 heapq.heapify(heap)
@@ -279,8 +278,7 @@ class RelatedBalancer:
         self.history.append((machine, scaled))
         if scaled < tau:
             # same per-machine order of additions as a rescan
-            self.loads[machine] = load = load + scaled
-            heapq.heapreplace(heap, (load, machine))
+            heapq.heapreplace(heap, (load + scaled, machine))
         return machine, dphi, new_state, increments
 
 
@@ -302,10 +300,7 @@ def online_route_step(r, state, j):
     increments), or None (Fail) when no admissible path exists or the chosen
     path breaches the ell*tau cap."""
     tau = state.tau
-    try:
-        view = RoutingRequestView(r, j, tau)
-    except NoFeasiblePath:
-        return None
+    view = RoutingRequestView(r, j, tau)
     t = float(tau)
     trunc = view.truncated
     weights = {}

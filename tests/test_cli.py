@@ -104,6 +104,22 @@ class TestVerdictsAndErrors:
         assert "lp_status: trivial" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("offline", "--algo", "related"),
+            ("online", "--algo", "config"),
+            ("lp-check", "--tau", "1"),
+            ("oracle", "--what", "opt"),
+        ],
+    )
+    def test_related_law_whose_values_meet_once_scaled(self, tmp_path, capsys, argv):
+        # 1/3 and its float are one value once scaled by the factor 1.0
+        src = tmp_path / "meet.json"
+        src.write_text('{"kind": "related", "speeds": [1.0, 1.0], "jobs": [[["1/3", "1/2"], [0.3333333333333333, "1/2"]]]}')
+        assert run_cli(*argv, "--in", str(src)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
         "algo, text",
         [
             ("config", '{"kind": "config", "m": 1, "requests": []}'),
@@ -325,6 +341,14 @@ OVERFLOWING_THRESHOLD = (
 )
 
 
+TINY_BOUND = '{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [{"multipliers": [1], "law": [[1e-323, 1.0]]}]}]}'
+TINY_MEAN = (
+    '{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [{"multipliers": [1], '
+    '"law": [[0.0, 0.5], [1e-323, 0.5]]}]}]}'
+)
+TINY_ROUTE = '{"kind": "routing", "vertices": 2, "edges": [[0, 1, 1]], "requests": [[0, 1, [[0.0, 0.5], [1e-323, 0.5]]]]}'
+
+
 class TestBeyondFloats:
     """An exact number without a finite float value is an input error; a
     configuration whose largest load overflows a float is one for the float
@@ -420,6 +444,26 @@ class TestBeyondFloats:
     def test_overflowing_online_threshold(self, tmp_path, capsys, argv, message):
         src = tmp_path / "related.json"
         src.write_text(OVERFLOWING_THRESHOLD)
+        assert run_cli(*argv, "--in", str(src)) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            # before the bound was refused, the search never narrowed [0, 1e-323]
+            (TINY_BOUND, ("offline", "--algo", "config"), "tau=1e-323 is too small"),
+            # and here its first midpoint underflowed to a threshold of 0.0
+            (TINY_MEAN, ("offline", "--algo", "config"), "tau=5e-324 is too small"),
+            (TINY_ROUTE, ("offline", "--algo", "routing"), "tau=5e-324 is too small"),
+        ],
+        ids=["bound-1e-323", "config-mean-5e-324", "routing-mean-5e-324"],
+    )
+    def test_tiny_search_bound(self, tmp_path, capsys, text, argv, message):
+        src = tmp_path / "tiny.json"
+        src.write_text(text)
         assert run_cli(*argv, "--in", str(src)) == 1
         captured = capsys.readouterr()
         assert_one_error_line(captured.err)

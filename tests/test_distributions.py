@@ -186,10 +186,34 @@ class TestScaledTails:
                 tail(0, 1)
 
     def test_underflowing_scale_still_prices(self):
-        # the scaled copy merges 0.0 and 5e-324 * 0.5 == 0.0 into a
-        # duplicate support value; the kernel needs no copy
+        # the scaled copy merges 0.0 and 5e-324 * 0.5 == 0.0 into one
+        # point; the kernel needs no copy
         law = DiscreteDistribution([(0.0, 0.5), (5e-324, 0.5)])
-        with pytest.raises(ValidationError):
-            law.scale(0.5)
+        assert law.scale(0.5).support == ((0.0, 1.0),)
         _, [(_, value)] = Configuration([0.5], law).tails(1.0)
         assert value == 0.0 and isinstance(value, float)
+
+    @pytest.mark.parametrize(
+        "law, factor, support",
+        [
+            # 1/3 and its float meet once scaled by the float 1.0
+            (
+                DiscreteDistribution([(Fraction(1, 3), Fraction(1, 2)), (1 / 3, Fraction(1, 2))]),
+                1.0,
+                ((1 / 3, Fraction(1)),),
+            ),
+            # 3 and 4 times the smallest subnormal both halve onto 2 times it
+            (
+                DiscreteDistribution([(0.0, Fraction(1, 3)), (1.5e-323, Fraction(1, 3)), (2e-323, Fraction(1, 3))]),
+                Fraction(1, 2),
+                ((0.0, Fraction(1, 3)), (1e-323, Fraction(2, 3))),
+            ),
+            # float probabilities whose sum passes 1 within the tolerance
+            (DiscreteDistribution([(0.0, 0.6), (5e-324, 0.4000000000001)]), 0.5, ((0.0, 1.0),)),
+        ],
+        ids=["float-meets-fraction", "subnormals-round-together", "float-probabilities-past-1"],
+    )
+    def test_scale_merges_values_that_coincide(self, law, factor, support):
+        scaled = law.scale(factor)
+        assert scaled.support == support
+        assert [type(x) for pair in scaled.support for x in pair] == [type(x) for pair in support for x in pair]

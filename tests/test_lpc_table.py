@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfgbal.distributions import DiscreteDistribution, ValidationError, point_mass
+from cfgbal.distributions import DiscreteDistribution, point_mass
 from cfgbal.instances import (
     Configuration,
     ConfigInstance,
@@ -229,8 +229,7 @@ def test_underflow_gives_equal_breakpoints():
 # the related reduction's shared laws
 
 # repeated speeds, and speeds of one value in two types: 1 and 1.0 give the
-# factors Fraction(1) and 1.0, which scale a rational law into other types;
-# no speed passes 1, since shrinking laws() values can merge subnormals
+# factors Fraction(1) and 1.0, which scale a rational law into other types
 SPEEDS = st.sampled_from([1, 1.0, Fraction(1, 2), 0.5, Fraction(2, 3), Fraction(1, 4), 0.25])
 
 
@@ -244,15 +243,16 @@ def typed(law):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(SPEEDS, min_size=1, max_size=6), st.lists(laws(), min_size=1, max_size=3))
+# values that coincide once scaled: 1/3 and its float under the factor 1.0,
+# and two subnormals that halve onto one
+@example([1.0, 1.0], [DiscreteDistribution([(Fraction(1, 3), Fraction(1, 2)), (1 / 3, Fraction(1, 2))])])
+@example([2], [DiscreteDistribution([(0.0, Fraction(1, 3)), (1.5e-323, Fraction(1, 3)), (2e-323, Fraction(1, 3))])])
 def test_related_reduction_shares_a_law_per_factor(speeds, jobs):
     """Two machines share a job's scaled law exactly when their factors
     1 / s match in type and value; each law is the job's law scaled by its
     own factor, and LP_C over the shared reduction is LP_C over one that
     scales every (job, machine) pair apart, at every breakpoint."""
-    try:
-        rows = [[law.scale(factor(s)) for s in speeds] for law in jobs]
-    except ValidationError:  # a float factor can round 1/3 and 1/3.0 to one value
-        assume(False)
+    rows = [[law.scale(factor(s)) for s in speeds] for law in jobs]
     r = RelatedInstance(speeds, jobs)
     u = related_to_unrelated(r)
     keys = [(type(factor(s)), factor(s)) for s in speeds]

@@ -310,9 +310,10 @@ JOBS = (
 
 def run_checked(inst, realize):
     """run_online_related with every step checked against a rescan of the
-    history: after the step the kept loads equal the rescan at its tau,
-    and the chosen machine is the least (rescan load, id) of its group
-    before the step. Returns (run, balancer, whether each step admitted)."""
+    history: after the step the loads in the group heaps equal the rescan at
+    its tau, every machine of the group in its group's heap, and the chosen
+    machine is the least (rescan load, id) of its group before the step.
+    Returns (run, balancer, whether each step admitted)."""
     step = RelatedBalancer.step
     outcomes = []
 
@@ -320,7 +321,10 @@ def run_checked(inst, realize):
         before = self.truncated_loads(state.tau)
         result = step(self, state, job)
         assert self.loads_tau == state.tau
-        assert self.loads == self.truncated_loads(state.tau)
+        rescan = self.truncated_loads(state.tau)
+        for heap, (_, _, ids) in zip(self.heaps, self.groups, strict=True):
+            assert sorted(i for _, i in heap) == sorted(ids)
+            assert {i: load for load, i in heap} == {i: rescan.get(i, 0.0) for i in ids}
         if result is not None:
             machine = result[0]
             [ids] = [ids for _, _, ids in self.groups if machine in ids]

@@ -5,12 +5,16 @@ of more than a screenful. They were captured before related machines
 shared one scaled law per speed, list scheduling kept a heap per group and
 the oracle's outcome table was built in ints, so any change to which
 machine a job lands on, to a proxy's floats or to an exact value changes
-a byte here.
+a byte here. The routing reports were captured before each routing
+instance kept one view memo and before a view stopped testing
+reachability by a walk of its own.
 
 The related instances have a multi-phase stream whose realized sizes
 reach tau, and a group of nine equal-speed machines where list-scheduling
 ties occur; the oracle instance's products a * v reduce, as
-(2/3) * (3/4) = 1/2 does."""
+(2/3) * (3/4) = 1/2 does. The routing grid's online run fails at two
+guesses because a request's admissible edges disconnect its source from
+its sink, and lp-check is asked at a tau where they do."""
 
 import hashlib
 import json
@@ -21,9 +25,10 @@ import numpy as np
 from cfgbal.cli import main
 from cfgbal.distributions import DiscreteDistribution, point_mass
 from cfgbal.instance_io import write_instance
-from cfgbal.instances import Configuration, ConfigInstance, RelatedInstance, Request
+from cfgbal.instances import Configuration, ConfigInstance, RelatedInstance, Request, RoutingInstance
 from cfgbal.oracle import AdaptiveOracle
 
+from conftest import reference_simple_paths
 from test_online import multi_phase_related
 
 
@@ -80,6 +85,35 @@ def reducing_config():
     )
 
 
+def seeded_grid(seed, side, n):
+    """A side x side grid, both directions of each link with capacities
+    cycling through 1, 2, 1/2 and 4, and n requests between distinct
+    random vertices with two-point p/q laws."""
+    rng = np.random.default_rng(seed)
+    caps = (1, 2, Fraction(1, 2), 4)
+    edges = []
+    for v in range(side * side):
+        r, c = divmod(v, side)
+        for w in ((v + 1) if c + 1 < side else None, (v + side) if r + 1 < side else None):
+            if w is not None:
+                edges += [(v, w, caps[len(edges) % 4]), (w, v, caps[(len(edges) + 1) % 4])]
+    requests = []
+    for _ in range(n):
+        s, t = (int(x) for x in rng.choice(side * side, size=2, replace=False))
+        low, high = sorted(int(x) for x in rng.choice(12, size=2, replace=False))
+        p = Fraction(int(rng.integers(1, 4)), 4)
+        requests.append((s, t, DiscreteDistribution([(Fraction(low, 4), p), (Fraction(high, 4), 1 - p)])))
+    return RoutingInstance(side * side, edges, requests)
+
+
+def disconnected(r, j, tau):
+    """Whether request j's admissible edges at tau hold no source-sink
+    path, by the reference enumeration."""
+    source, sink, law = r.requests[j]
+    ids = [e for e in range(r.m) if float(law.mean()) / r.capacities[e] <= tau]
+    return not reference_simple_paths(r.vertices, r.edges, ids, source, sink)
+
+
 def report(tmp_path, inst, *argv):
     src, out = tmp_path / "inst.json", tmp_path / "report.txt"
     write_instance(inst, src)
@@ -133,6 +167,12 @@ EXPECTED = {
         "# oracle restart\ntau: 2\nexpected_makespan: 23/6\nexpected_exceptional: 10/3\n",
         "# oracle eval\ntau: 3/2\nexpected_makespan: 17/3\nexpected_exceptional: 47/6\n",
     ],
+    "routing-online": "a6c05e9ac2ef461adb6e30dbd8381bb196d3214b2216de0bf4179e8d3e87c625",
+    "routing-offline": "de82f4c782a03c0e2e52eb49d589fcd6bdf59755fd756e59fb7969602941f30d",
+    "routing-lp-check": (
+        "LP_P infeasible at tau=0.5: request 1: admissible edges disconnect 0 -> 3\n"
+        "certificate: E[OPT] > 0.25\n"
+    ),
     "oracle-tree": "2b626a5096c4bfde2448a8db19968afa861e1b6ef58d6bc5c1fabbcdc180a2f7",
 }
 
@@ -169,3 +209,31 @@ def test_oracle_reports(tmp_path):
 
 def test_oracle_tree():
     assert digest(AdaptiveOracle(reducing_config()).tree_text()) == EXPECTED["oracle-tree"]
+
+
+def test_routing_online(tmp_path):
+    r = seeded_grid(7, 4, 16)
+    text = report(tmp_path, r, "online", "--algo", "routing")
+    assert "phases: 3\n" in text
+    # every phase ends at a request whose admissible edges disconnect it
+    fields = [line.split()[1:3] for line in text.splitlines() if line.startswith("request_")]
+    phases = [int(phase.removeprefix("phase=")) for phase, _ in fields]
+    lams = [float(lam.removeprefix("lambda=")) for _, lam in fields]
+    for k in range(1, r.n):
+        for q in range(phases[k] - phases[k - 1]):
+            assert disconnected(r, k, 2 * lams[k - 1] * 2**q)
+    assert digest(text) == EXPECTED["routing-online"]
+
+
+def test_routing_offline(tmp_path):
+    text = report(tmp_path, seeded_grid(3, 3, 4), "offline", "--algo", "routing", "--seed", "5")
+    assert digest(text) == EXPECTED["routing-offline"]
+
+
+def test_routing_lp_check_disconnected(tmp_path, capsys):
+    r = seeded_grid(7, 4, 16)
+    src = tmp_path / "inst.json"
+    write_instance(r, src)
+    assert disconnected(r, 1, 0.5) and not disconnected(r, 0, 0.5)
+    assert main(["lp-check", "--in", str(src), "--tau", "1/2"]) == 2
+    assert capsys.readouterr().out == EXPECTED["routing-lp-check"]

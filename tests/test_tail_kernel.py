@@ -63,10 +63,9 @@ class TestScaledTails:
     @given(law_factor_tau())
     def test_matches_scaled_copy(self, case):
         law, factor, tau = case
-        try:
-            scaled = law.scale(factor)
-        except ValidationError:
-            assume(False)
+        scaled = law.scale(factor)
+        # a copy that merged points sums their probabilities before scaling
+        assume(len(scaled.support) == len(law.support))
         want = (scaled.truncated_mean(tau), scaled.exceptional_mean(tau))
         # the same sums spelled out on the copy, independent of the kernel
         direct = (

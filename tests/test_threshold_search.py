@@ -3,10 +3,14 @@ feasible at the threshold it returns, the offline drivers round that
 solution without solving again, and LP_C and the path LP agree where they
 describe the same problem."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgbal import lp, offline
 from cfgbal.distributions import DiscreteDistribution
@@ -18,7 +22,16 @@ from cfgbal.instances import (
     RoutingRequestView,
     unrelated_to_config,
 )
-from cfgbal.lp import EPS, FEAS_TOL, build_lpc, min_feasible_tau, min_feasible_tau_routing
+from cfgbal.lp import (
+    EPS,
+    FEAS_TOL,
+    Infeasible,
+    NumericalFailure,
+    build_lpc,
+    min_feasible_tau,
+    min_feasible_tau_routing,
+    threshold_search,
+)
 
 from conftest import random_dag_routing, tiny_rng, tiny_suite
 
@@ -127,3 +140,59 @@ def test_path_lp_matches_lpc_on_parallel_edges(seed):
     tau_path, _ = min_feasible_tau_routing(routing)
     tau_config, _ = min_feasible_tau(config)
     assert tau_path == pytest.approx(tau_config, rel=2 * EPS)
+
+
+def checked_search(hi, rng):
+    """threshold_search(solve, hi) over a synthetic solve, feasible at hi
+    and drawn by rng below it, which checks that every midpoint lies
+    strictly inside the bracket (lo, hi) the search holds and that the
+    search ends within 2,000 steps. Returns the search's result, or the
+    NumericalFailure it raised, which names the upper end it refused."""
+    bracket = [0.0, hi]
+    steps = []
+
+    def solve(tau):
+        steps.append(tau)
+        assert len(steps) < 2000
+        if len(steps) == 1:
+            assert tau == hi
+            return {0: [(0, 1.0)]}
+        lo, top = bracket
+        assert lo < tau < top
+        feasible = rng.random() < 0.5
+        bracket[feasible] = tau
+        return {0: [(0, 1.0)]} if feasible else Infeasible("drawn")
+
+    try:
+        return threshold_search(solve, hi)
+    except NumericalFailure as exc:
+        assert EPS * bracket[1] == 0.0 and f"tau={bracket[1]!r} is too small" in str(exc)
+        return exc
+
+
+def test_search_over_the_smallest_subnormal_bounds():
+    # from the smallest subnormal through past the first bound whose
+    # EPS * hi is nonzero, one float step at a time
+    rng = random.Random(0)
+    hi, refused = 5e-324, 0
+    for _ in range(3000):
+        result = checked_search(hi, rng)
+        if isinstance(result, NumericalFailure):
+            refused += 1
+        else:
+            assert 0.0 < result[0] <= hi
+        if EPS * hi == 0.0:
+            assert isinstance(result, NumericalFailure)
+        hi = math.nextafter(hi, math.inf)
+    assert 0 < refused < 3000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**53), st.integers(0, 2**32))
+def test_search_over_any_subnormal_bound(ulps, seed):
+    # hi is the ulps-th float above 0.0: every subnormal, and the normal
+    # floats just past them
+    hi = ulps * 5e-324
+    result = checked_search(hi, random.Random(seed))
+    if EPS * hi == 0.0:
+        assert isinstance(result, NumericalFailure)

@@ -2,18 +2,27 @@
 view's split changes (each scaled support value v * (1.0 / c) and each
 admissibility threshold float(mean) / c) and one ulp either side, the
 memo's view has the fresh view's admissible edges, truncated and
-exceptional bits and seed path, or raises a new NoFeasiblePath with its
-message; and a threshold search over the memo returns what one over fresh
-views does."""
+exceptional bits and seed path, a missing one included; routing_to_config
+raises a new NoFeasiblePath for the first request whose admissible edges
+hold no path; and a threshold search over an instance's memo returns what
+one over fresh views does."""
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfgbal import instances
 from cfgbal.distributions import DiscreteDistribution
-from cfgbal.instances import NoFeasiblePath, RoutingInstance, RoutingRequestView, RoutingViewMemo
+from cfgbal.instances import (
+    NoFeasiblePath,
+    RoutingInstance,
+    RoutingRequestView,
+    RoutingViewMemo,
+    routing_to_config,
+)
 from cfgbal.lp import (
     NoFeasibleTau,
     NumericalFailure,
@@ -21,6 +30,8 @@ from cfgbal.lp import (
     solve_lpp_column_generation,
     threshold_search,
 )
+
+from conftest import reference_simple_paths
 
 CAPACITIES = [1, 2, 3, Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
 VALUES = [0, 1, 2, 3, Fraction(1, 3), Fraction(5, 2)]
@@ -79,13 +90,6 @@ def view_bits(view):
     )
 
 
-def fresh_or_message(r, j, tau):
-    try:
-        return view_bits(RoutingRequestView(r, j, tau))
-    except NoFeasiblePath as exc:
-        return str(exc)
-
-
 @settings(max_examples=100, deadline=None)
 @given(routing_instances(), st.randoms(use_true_random=False))
 def test_memo_views_match_fresh_views(r, random):
@@ -95,17 +99,56 @@ def test_memo_views_match_fresh_views(r, random):
     # of their split and again after it
     for tau in random.sample(taus * 2, 2 * len(taus)):
         for j in range(r.n):
-            expected = fresh_or_message(r, j, tau)
+            expected = view_bits(RoutingRequestView(r, j, tau))
+            assert view_bits(memo.view(j, tau)) == expected, (j, tau)
+
+
+@settings(max_examples=100, deadline=None)
+@given(routing_instances())
+def test_routing_to_config_raises_at_the_first_disconnected_request(r):
+    memo = r.view_memo()
+    for tau in split_taus(r):
+        paths = []
+        for j in range(r.n):
+            # neither a fresh view nor the memo raises, connected or not
+            view = RoutingRequestView(r, j, tau)
+            assert memo.view(j, tau).edge_ids == view.edge_ids
+            paths.append(reference_simple_paths(r.vertices, r.edges, view.edge_ids, view.source, view.sink))
+        first = next((j for j, found in enumerate(paths) if not found), None)
+        if first is None:
+            views = routing_to_config(r, tau)
+            assert all(view.seed_path() in found for view, found in zip(views, paths, strict=True))
+            continue
+        source, sink, _ = r.requests[first]
+        raised = []
+        for _ in range(2):
             try:
-                got = view_bits(memo.view(j, tau))
+                routing_to_config(r, tau)
             except NoFeasiblePath as exc:
-                got = str(exc)
-                # a new exception each time, never a cached object
-                try:
-                    memo.view(j, tau)
-                except NoFeasiblePath as again:
-                    assert again is not exc
-            assert got == expected, (j, tau)
+                raised.append(exc)
+        assert [str(exc) for exc in raised] == [f"request {first}: admissible edges disconnect {source} -> {sink}"] * 2
+        assert raised[0] is not raised[1]
+
+
+def test_a_disconnected_view_walks_once(monkeypatch):
+    # capacity 1/2 makes the second edge inadmissible at tau 1
+    r = RoutingInstance(3, [(0, 1, 1), (1, 2, Fraction(1, 2))], [(0, 2, DiscreteDistribution([(1, 1)]))])
+    walks = []
+    walk = instances.lex_shortest_path
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(instances, "lex_shortest_path", counted)
+    view = RoutingRequestView(r, 0, 1.0)
+    assert view.edge_ids == (0,) and walks == []
+    assert [view.seed_path() for _ in range(3)] == [None] * 3
+    assert len(walks) == 1
+    for _ in range(2):
+        with pytest.raises(NoFeasiblePath):
+            routing_to_config(r, 1.0)
+    assert len(walks) == 2  # the memo's view walked once, for both calls
 
 
 def search_result(r):
@@ -115,15 +158,21 @@ def search_result(r):
         return f"{type(exc).__name__}: {exc}"
 
 
+def fresh_copy(r):
+    """r as a new RoutingInstance, whose view memo starts empty."""
+    return RoutingInstance(r.vertices, r.edges, r.requests)
+
+
 @settings(max_examples=50, deadline=None)
 @given(routing_instances())
 def test_search_over_memo_matches_fresh_views(r):
     result = search_result(r)
     assert search_result(r) == result
-    assert search_result(RoutingInstance(r.vertices, r.edges, r.requests)) == result
+    assert search_result(fresh_copy(r)) == result
     hi = sum(r.min_expected_cost(j) for j in range(r.n))
     try:
-        fresh = repr(threshold_search(lambda t: solve_lpp_column_generation(r, t), hi))
+        # every step on views of its own
+        fresh = repr(threshold_search(lambda t: solve_lpp_column_generation(fresh_copy(r), t), hi))
     except (NoFeasibleTau, NumericalFailure) as exc:
         fresh = f"{type(exc).__name__}: {exc}"
     assert fresh == result
