@@ -597,18 +597,19 @@ class RoutingRequestView:
 
     def best_path(self, weights, score):
         """Bottleneck-capacity guessing: for each distinct admissible
-        capacity, in edge order, the lex-shortest path under weights over the
-        admissible edges at or above it. Returns (path, score(path)) for the
-        candidate minimizing (score, canonical path key), the first candidate
-        winning ties, or None if no guess yields a path."""
+        capacity, ascending, the lex-shortest path under weights over the
+        admissible edges at or above it; each guess walks a subset of the
+        last one's edges, so the first without a path ends the search.
+        Returns (path, score(path)) minimizing (score, canonical path key),
+        or None if the first guess finds no path."""
         r = self.instance
         best = None
         caps = r.capacities
-        for cap in dict.fromkeys(caps[e] for e in self.edge_ids):
+        for cap in sorted({caps[e] for e in self.edge_ids}):
             sub = tuple(e for e in self.edge_ids if caps[e] >= cap)
             path = lex_shortest_path(r.graph, sub, weights, self.source, self.sink)
             if path is None:
-                continue
+                break
             value = score(path)
             key = (value, path_key(r.edges, path))
             if best is None or key < best[0]:

@@ -333,9 +333,9 @@ class RestartPolicy:
     the state of decide and after, are the oracle's int loads over D.
     """
 
-    def __init__(self, inst, tau, max_states=2_000_000):
+    def __init__(self, inst, tau):
         check_tau(tau)
-        self.oracle = AdaptiveOracle(inst, max_states=max_states)
+        self.oracle = AdaptiveOracle(inst)
         self.inst = self.oracle.inst
         self.tau = Fraction(tau)
         den, pden = self.oracle.den, self.oracle.pden
@@ -384,9 +384,9 @@ class RestartPolicy:
         sim.walk(self.decide, self.after, self.oracle.zero_loads)
 
 
-def restart_policy(inst, tau, max_states=2_000_000):
+def restart_policy(inst, tau):
     """Build the restart policy and compute its exact value."""
-    policy = RestartPolicy(inst, tau, max_states=max_states)
+    policy = RestartPolicy(inst, tau)
     value = policy.value()
     return policy, value
 

@@ -31,6 +31,7 @@ from .instances import (
     RelatedInstance,
     RoutingInstance,
     UnrelatedInstance,
+    check_float_loads,
 )
 
 MASK64 = (1 << 64) - 1
@@ -114,7 +115,8 @@ class Trials:
     unrelated machines, 1.0 / float(speed) for related machines and
     1.0 / float(capacity) on each edge of a route; a realization with
     a_max * v >= tau adds a_max * v to the trial's exceptional total. For
-    machine instances, machine_mult holds each machine's a.
+    machine instances, machine_mult holds each machine's a. An instance
+    whose largest load is not a finite float (check_float_loads) is refused.
     """
 
     def __init__(self, inst, trials, seed, tau=None):
@@ -126,6 +128,8 @@ class Trials:
             self.ids = list(range(inst.n))
         else:
             raise TypeError(f"cannot simulate on {type(inst).__name__}")
+        if not isinstance(inst, UnrelatedInstance):  # an unrelated load is a finite law value
+            check_float_loads(inst)
         self.position = {j: k for k, j in enumerate(self.ids)}
         self.inst = inst
         self.trials = trials

@@ -4,8 +4,9 @@ admissibility threshold float(mean) / c) and one ulp either side, the
 memo's view has the fresh view's admissible edges, truncated and
 exceptional bits and seed path, a missing one included; routing_to_config
 raises a new NoFeasiblePath for the first request whose admissible edges
-hold no path; and a threshold search over an instance's memo returns what
-one over fresh views does."""
+hold no path; best_path answers as the edge-order guessing it replaced, and
+walks once when the admissible edges hold no path; and a threshold search
+over an instance's memo returns what one over fresh views does."""
 
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from cfgbal import instances
 from cfgbal.distributions import DiscreteDistribution
+from cfgbal.graphs import lex_shortest_path, path_key
 from cfgbal.instances import (
     NoFeasiblePath,
     RoutingInstance,
@@ -131,8 +133,11 @@ def test_routing_to_config_raises_at_the_first_disconnected_request(r):
 
 
 def test_a_disconnected_view_walks_once(monkeypatch):
-    # capacity 1/2 makes the second edge inadmissible at tau 1
-    r = RoutingInstance(3, [(0, 1, 1), (1, 2, Fraction(1, 2))], [(0, 2, DiscreteDistribution([(1, 1)]))])
+    # capacity 1/2 makes the last edge inadmissible at tau 1, and three
+    # admissible capacities make three guesses for best_path
+    r = RoutingInstance(
+        3, [(0, 1, 3), (0, 1, 2), (0, 1, 1), (1, 2, Fraction(1, 2))], [(0, 2, DiscreteDistribution([(1, 1)]))]
+    )
     walks = []
     walk = instances.lex_shortest_path
 
@@ -142,13 +147,44 @@ def test_a_disconnected_view_walks_once(monkeypatch):
 
     monkeypatch.setattr(instances, "lex_shortest_path", counted)
     view = RoutingRequestView(r, 0, 1.0)
-    assert view.edge_ids == (0,) and walks == []
+    assert view.edge_ids == (0, 1, 2) and walks == []
     assert [view.seed_path() for _ in range(3)] == [None] * 3
     assert len(walks) == 1
     for _ in range(2):
         with pytest.raises(NoFeasiblePath):
             routing_to_config(r, 1.0)
     assert len(walks) == 2  # the memo's view walked once, for both calls
+    assert view.best_path(view.truncated, len) is None
+    assert len(walks) == 3  # its first guess holds every admissible edge
+
+
+def edge_order_best_path(view, weights, score):
+    """best_path's earlier form: one guess per distinct admissible capacity
+    in edge order, every guess walked, the first candidate winning ties."""
+    r, best = view.instance, None
+    caps = r.capacities
+    for cap in dict.fromkeys(caps[e] for e in view.edge_ids):
+        sub = tuple(e for e in view.edge_ids if caps[e] >= cap)
+        path = lex_shortest_path(r.graph, sub, weights, view.source, view.sink)
+        if path is not None:
+            key = (score(path), path_key(r.edges, path))
+            if best is None or key < best[0]:
+                best = (key, path, key[0])
+    return None if best is None else best[1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(routing_instances(), st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=7, max_size=7))
+def test_best_path_matches_edge_order_guessing(r, drawn):
+    for tau in split_taus(r):
+        for j in range(r.n):
+            view = RoutingRequestView(r, j, tau)
+            weights = {e: drawn[e] for e in view.edge_ids}
+
+            def score(path):
+                return sum(weights[e] for e in path) + view.exceptional(path)
+
+            assert view.best_path(weights, score) == edge_order_best_path(view, weights, score), (j, tau)
 
 
 def search_result(r):
