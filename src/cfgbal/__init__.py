@@ -1,7 +1,7 @@
 """Configuration balancing with stochastic requests: offline and online
 policies, an exact adaptive oracle, and a Monte-Carlo harness."""
 
-from .distributions import DiscreteDistribution, ValidationError, point_mass, scaled_bernoulli
+from .distributions import CfgbalError, DiscreteDistribution, ValidationError, point_mass, scaled_bernoulli
 from .instances import (
     Configuration,
     ConfigInstance,
@@ -56,7 +56,6 @@ from .oracle import (
     StateSpaceExceeded,
     clairvoyance_adversary,
     evaluate_policy,
-    non_adaptive_policy,
     optimal_adaptive,
     restart_policy,
 )

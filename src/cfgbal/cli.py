@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .distributions import ValidationError
+from .distributions import CfgbalError, ValidationError
 from .instance_io import ParseError, read_instance, write_instance
 from .instances import (
     RelatedInstance,
@@ -29,13 +29,7 @@ from .instances import (
     random_tiny_instance,
     smooth_machines,
 )
-from .lp import (
-    Infeasible,
-    NoFeasibleTau,
-    NumericalFailure,
-    solve_lpc,
-    solve_lpp_column_generation,
-)
+from .lp import Infeasible, solve_lpc, solve_lpp_column_generation
 from .offline import offline_config_balancing, offline_related, offline_routing
 from .online import (
     nonclairvoyant_sqrt_list,
@@ -43,16 +37,10 @@ from .online import (
     run_online_related,
     run_online_routing,
 )
-from .oracle import (
-    AdaptiveOracle,
-    IncompletePolicy,
-    StateSpaceExceeded,
-    evaluate_policy,
-    non_adaptive_policy,
-    restart_policy,
-)
+from .oracle import AdaptiveOracle, evaluate_policy, restart_policy
 from .simulate import (
     NonAdaptiveAssignment,
+    check_assignment,
     estimate_expected_max,
     expmax_regime,
     request_stream,
@@ -124,20 +112,10 @@ def report_lines(title, pairs):
 
 def simulation_csv(report):
     """The header and the one row of a simulation's CSV report."""
-    header = "trials,seed,mean_makespan,stderr,mean_exceptional," + ",".join(
-        f"load_{i}" for i in range(len(report.resource_means))
-    )
-    row = ",".join(
-        [
-            str(report.trials),
-            str(report.seed),
-            repr(report.mean_makespan),
-            repr(report.stderr),
-            repr(report.mean_exceptional),
-        ]
-        + [repr(v) for v in report.resource_means]
-    )
-    return [header, row]
+    means = report.resource_means
+    header = "trials,seed,mean_makespan,stderr,mean_exceptional," + ",".join(f"load_{i}" for i in range(len(means)))
+    row = [report.trials, report.seed, report.mean_makespan, report.stderr, report.mean_exceptional, *means]
+    return [header, ",".join(map(_fmt, row))]
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +130,9 @@ def cmd_gen(args):
         inst = gen_adaptivity_gap_instance(m, tau)
     elif args.kind == "adversary":
         inst = gen_clairvoyance_adversary_instance(m)
-    elif args.kind in ("config", "unrelated", "related"):
+    else:  # the tiny kinds; argparse refuses any other
         rng = request_stream(args.seed, 0)
         inst = random_tiny_instance(args.kind, rng, n_max=args.n, m_max=m)
-    else:
-        raise ValidationError(f"unknown generator kind {args.kind!r}")
     write_instance(inst, args.out)
     print(f"wrote {args.kind} instance to {args.out}")
     return EXIT_OK
@@ -182,14 +158,8 @@ def cmd_offline(args):
         _, report = offline_related(inst, rng)
     else:
         report = offline_config_balancing(inst, rng)
-    pairs = [
-        ("algorithm", args.algo),
-        ("seed", args.seed),
-        ("tau", report.tau),
-        ("lp_status", report.lp_status),
-        ("opt_lower_bound", report.opt_lower_bound),
-        ("exceptional_total", report.exceptional_total),
-    ]
+    pairs = [("algorithm", args.algo), ("seed", args.seed)]
+    pairs += [(key, getattr(report, key)) for key in ("tau", "lp_status", "opt_lower_bound", "exceptional_total")]
     for j, choice in sorted(report.assignment.items()):
         pairs.append((f"choice_{j}", choice))
     for i, load in enumerate(report.truncated_loads):
@@ -262,13 +232,12 @@ def cmd_oracle(args):
         if tau is None:
             raise ValidationError("restart needs --tau")
         _, value = restart_policy(inst, tau)
-    elif args.what == "eval":
+    else:  # eval; argparse refuses any other mode
         if tau is None or not args.policy_file:
             raise ValidationError("eval needs --tau and --policy-file")
-        assignment = read_policy_file(args.policy_file)
-        value = evaluate_policy(inst, non_adaptive_policy(assignment), tau)
-    else:
-        raise ValidationError(f"unknown oracle mode {args.what!r}")
+        policy = NonAdaptiveAssignment(read_policy_file(args.policy_file))
+        check_assignment(inst, policy.assignment)
+        value = evaluate_policy(inst, policy, tau)
     pairs = [("tau", tau), ("expected_makespan", value.makespan),
              ("expected_exceptional", value.exceptional)]
     write_report(report_lines(f"oracle {args.what}", pairs), args.report)
@@ -414,15 +383,7 @@ def main(argv=None):
         return 0 if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (
-        ValidationError,
-        ParseError,
-        OSError,
-        NoFeasibleTau,
-        NumericalFailure,
-        IncompletePolicy,
-        StateSpaceExceeded,
-    ) as exc:
+    except (CfgbalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_ERROR

@@ -19,7 +19,12 @@ from numbers import Rational
 PROB_SUM_TOL = 1e-12
 
 
-class ValidationError(ValueError):
+class CfgbalError(Exception):
+    """Base of every failure cfgbal reports: the CLI prints one of these as
+    its one error line and exits 1."""
+
+
+class ValidationError(CfgbalError, ValueError):
     """A distribution or instance violates a structural invariant."""
 
 

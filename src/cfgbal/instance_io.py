@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain
 from numbers import Rational
 
-from .distributions import DiscreteDistribution
+from .distributions import CfgbalError, DiscreteDistribution
 from .instances import (
     Configuration,
     ConfigInstance,
@@ -31,7 +31,7 @@ from .instances import (
 )
 
 
-class ParseError(ValueError):
+class ParseError(CfgbalError, ValueError):
     """Malformed instance file; the message carries position or field."""
 
 

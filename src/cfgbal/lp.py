@@ -56,7 +56,7 @@ from itertools import compress
 import numpy as np
 from scipy.optimize._highspy import _core as highs
 
-from .distributions import check_tau
+from .distributions import CfgbalError, check_tau
 from .instances import NoFeasiblePath, routing_to_config
 
 FEAS_TOL = 1e-9
@@ -73,11 +73,11 @@ _OPTIONS.highs_debug_level = highs.kHighsDebugLevelNone
 _OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 
 
-class NumericalFailure(RuntimeError):
+class NumericalFailure(CfgbalError, RuntimeError):
     """The solver could not certify feasibility either way at tolerance."""
 
 
-class NoFeasibleTau(RuntimeError):
+class NoFeasibleTau(CfgbalError, RuntimeError):
     """Binary search bracket contains no feasible threshold."""
 
 

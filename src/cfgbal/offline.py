@@ -11,6 +11,8 @@ keyed by request id, like the online reports and policy files.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .distributions import ValidationError, check_tau
@@ -24,35 +26,22 @@ from .instances import (
 from .lp import EPS, min_feasible_tau, min_feasible_tau_routing
 
 
-class OfflineReport:
+class OfflineReport(NamedTuple):
     """Outcome of an offline run: threshold, LP status, the rounded
     assignment, and the expected loads recomputed from that assignment."""
 
-    __slots__ = (
-        "tau",
-        "lp_status",
-        "assignment",
-        "truncated_loads",
-        "exceptional_total",
-        "opt_lower_bound",
-    )
-
-    def __init__(self, tau, lp_status, assignment, truncated_loads, exceptional_total, opt_lower_bound):
-        self.tau = tau
-        self.lp_status = lp_status
-        self.assignment = assignment
-        self.truncated_loads = truncated_loads
-        self.exceptional_total = exceptional_total
-        self.opt_lower_bound = opt_lower_bound
+    tau: float
+    lp_status: str
+    assignment: dict
+    truncated_loads: list
+    exceptional_total: float
+    opt_lower_bound: float
 
     def as_dict(self):
         return {
-            "tau": self.tau,
-            "lp_status": self.lp_status,
+            **self._asdict(),
             "assignment": {str(k): _choice_repr(v) for k, v in self.assignment.items()},
             "truncated_loads": list(self.truncated_loads),
-            "exceptional_total": self.exceptional_total,
-            "opt_lower_bound": self.opt_lower_bound,
         }
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import NamedTuple
 
 from .distributions import ValidationError, check_tau
 from .instances import RoutingRequestView, check_float_loads, smooth_machines
@@ -118,26 +119,20 @@ def online_step(state, request):
     return argmin_step(state, request_proxies(request, state.tau))
 
 
-class TraceRecord:
-    __slots__ = ("request", "phase", "lam", "choice", "proxy", "dphi")
-
-    def __init__(self, request, phase, lam, choice, proxy, dphi):
-        self.request = request
-        self.phase = phase
-        self.lam = lam
-        self.choice = choice
-        self.proxy = proxy
-        self.dphi = dphi
+class TraceRecord(NamedTuple):
+    request: object
+    phase: int
+    lam: float
+    choice: object
+    proxy: list
+    dphi: float
 
 
-class OnlineRun:
-    __slots__ = ("records", "state", "final_lambda", "phases")
-
-    def __init__(self, records, state, final_lambda, phases):
-        self.records = records
-        self.state = state
-        self.final_lambda = final_lambda
-        self.phases = phases
+class OnlineRun(NamedTuple):
+    records: list
+    state: PotentialState
+    final_lambda: float
+    phases: int
 
 
 def guess_and_double(stream, inner):

@@ -14,43 +14,30 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
-from .distributions import ValidationError, check_tau
+from .distributions import CfgbalError, ValidationError, check_tau
 from .instances import as_config_instance
 
 # a float load snaps to the grid point within 1 / SNAP_RATIO relative of it
 SNAP_RATIO = 10**9
+# the most memo states an exact walk may hold
+MAX_STATES = 2_000_000
 
 
-class StateSpaceExceeded(RuntimeError):
-    def __init__(self, size, limit):
-        super().__init__(f"oracle state space {size} exceeds limit {limit}")
-        self.size = size
+class StateSpaceExceeded(CfgbalError, RuntimeError):
+    """An exact walk needs more states, or recursion, than it may use."""
 
 
-class IncompletePolicy(RuntimeError):
+class IncompletePolicy(CfgbalError, RuntimeError):
     """The supplied policy left a reachable state undecided."""
 
 
-class PolicyValue:
+class PolicyValue(NamedTuple):
     """Exact expected makespan and expected total exceptional load."""
 
-    __slots__ = ("makespan", "exceptional")
-
-    def __init__(self, makespan, exceptional):
-        self.makespan = makespan
-        self.exceptional = exceptional
-
-    def __iter__(self):
-        return iter((self.makespan, self.exceptional))
-
-    def __eq__(self, other):
-        if not isinstance(other, PolicyValue):
-            return NotImplemented
-        return (self.makespan, self.exceptional) == (other.makespan, other.exceptional)
-
-    def __repr__(self):
-        return f"PolicyValue(makespan={self.makespan}, exceptional={self.exceptional})"
+    makespan: Fraction
+    exceptional: Fraction
 
 
 def to_config_instance(inst):
@@ -136,9 +123,11 @@ class AdaptiveOracle:
     has the same scale, so comparing ints picks the same argmin, and the
     same tie, as comparing Fractions. value and choice take Fraction, int
     or float loads (see _grid_loads); max_states bounds the memo's states.
+    Value iteration from a state with s requests left visits every subset
+    of them, so a state with 2**s > max_states is refused at once.
     """
 
-    def __init__(self, inst, max_states=2_000_000):
+    def __init__(self, inst, max_states=MAX_STATES):
         self.inst = to_config_instance(inst)
         self.max_states = max_states
         self.by_id = {r.id: r for r in self.inst.requests}
@@ -179,7 +168,13 @@ class AdaptiveOracle:
         if remaining is None:
             remaining = self.all_ids
         loads = self.zero_loads if loads is None else self._grid_loads(loads)
+        self._check_size(remaining)
         return Fraction(self._solve(remaining, loads), self.den * self.pden ** len(remaining))
+
+    def _check_size(self, remaining):
+        """Refuse remaining when its subsets, each solved once, outnumber max_states."""
+        if 2 ** (n := len(remaining)) > self.max_states:
+            raise StateSpaceExceeded(f"{n} requests need at least 2**{n} oracle states, past the limit {self.max_states}")
 
     def _solve(self, remaining, loads):
         """V_int at a state of int loads."""
@@ -202,7 +197,7 @@ class AdaptiveOracle:
         self._value[key] = best
         self._choice[key] = best_choice
         if len(self._value) > self.max_states:
-            raise StateSpaceExceeded(len(self._value), self.max_states)
+            raise StateSpaceExceeded(f"oracle state space {len(self._value)} exceeds limit {self.max_states}")
         return best
 
     def choice(self, remaining, loads):
@@ -211,6 +206,7 @@ class AdaptiveOracle:
 
     def _grid_choice(self, remaining, loads):
         """choice at int loads."""
+        self._check_size(remaining)
         self._solve(remaining, loads)
         return self._choice[(remaining, loads)]
 
@@ -240,7 +236,7 @@ class AdaptiveOracle:
         return "\n".join(lines)
 
 
-def optimal_adaptive(inst, max_states=2_000_000):
+def optimal_adaptive(inst, max_states=MAX_STATES):
     """Exact E[OPT] and the optimal decision rule."""
     oracle = AdaptiveOracle(inst, max_states=max_states)
     return oracle.value(), oracle
@@ -253,7 +249,9 @@ def _policy_value(table, den, pden, loads, tau, decide, after=None, state=None):
     config, k) -> state, the protocol cfgbal.simulate.Trials.walk runs
     (state stays None without after). decide sees the walk's loads, ints
     over D (a decide that reads them as numbers divides by D). A None
-    decision or a KeyError is an IncompletePolicy.
+    decision or a KeyError is an IncompletePolicy. The memo may hold
+    MAX_STATES states, and the walk recurses once per request; past either
+    it raises StateSpaceExceeded.
 
     The walk holds loads as ints over D, and the makespan and exceptional
     load of a state with s requests left as ints over D * P**s."""
@@ -289,9 +287,14 @@ def _policy_value(table, den, pden, loads, tau, decide, after=None, state=None):
             mk += p * sub_mk
             exc += p * (peak * lift + sub_exc if peak >= threshold else sub_exc)
         memo[key] = (mk, exc)
+        if len(memo) > MAX_STATES:
+            raise StateSpaceExceeded(f"policy evaluation state space {len(memo)} exceeds limit {MAX_STATES}")
         return memo[key]
 
-    mk, exc = walk(frozenset(table), loads, state)
+    try:
+        mk, exc = walk(frozenset(table), loads, state)
+    except RecursionError:
+        raise StateSpaceExceeded(f"{len(table)} requests: the exact walk passes Python's recursion limit") from None
     scale = den * pden ** len(table)
     return PolicyValue(Fraction(mk, scale), Fraction(exc, scale))
 
@@ -309,16 +312,6 @@ def evaluate_policy(inst, policy, tau):
         return None if decision is None else (*decision, None)
 
     return _policy_value(table, den, pden, (0,) * inst.m, Fraction(tau), decide)
-
-
-def non_adaptive_policy(assignment):
-    """Fixed configuration per request, served in ascending id order."""
-
-    def decide(remaining, loads):
-        j = min(remaining)
-        return j, assignment[j]
-
-    return decide
 
 
 class RestartPolicy:

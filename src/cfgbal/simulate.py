@@ -105,6 +105,52 @@ def _require_path(inst, choice, source, sink, j):
     )
 
 
+def request_ids(inst):
+    """The ids a policy names requests by: a configuration instance's own
+    ids, the positions of the other kinds' requests."""
+    if isinstance(inst, ConfigInstance):
+        return [r.id for r in inst.requests]
+    if isinstance(inst, (UnrelatedInstance, RelatedInstance, RoutingInstance)):
+        return list(range(inst.n))
+    raise TypeError(f"cannot simulate on {type(inst).__name__}")
+
+
+def _locate(position, j):
+    """The position of request id j; ValidationError when there is none."""
+    k = position.get(j)
+    if k is None:
+        raise ValidationError(f"policy chose request {j!r}; the instance has no such request")
+    return k
+
+
+def _law_of(inst, k, j, choice):
+    """The law request j, the k-th of inst, realizes under choice;
+    ValidationError when inst offers no such choice."""
+    if isinstance(inst, ConfigInstance):
+        configs = inst.requests[k].configs
+        _require(choice, len(configs), "configuration", f"request {j}")
+        return configs[choice].law
+    if isinstance(inst, RoutingInstance):
+        source, sink, law = inst.requests[k]
+        _require_path(inst, choice, source, sink, j)
+        return law
+    _require(choice, inst.m, "machine", f"request {j}")
+    return inst.jobs[k][choice] if isinstance(inst, UnrelatedInstance) else inst.jobs[k]
+
+
+def check_assignment(inst, assignment):
+    """ValidationError naming the first fault of a fixed assignment
+    {request id: choice} on inst: in ascending id order a request inst does
+    not have or a choice it does not offer, then the smallest request left
+    without a choice."""
+    position = {j: k for k, j in enumerate(request_ids(inst))}
+    for j in sorted(assignment):
+        _law_of(inst, _locate(position, j), j, assignment[j])
+    missing = position.keys() - assignment.keys()
+    if missing:
+        raise ValidationError(f"policy assigns no choice to request {min(missing)}")
+
+
 class Trials:
     """One simulation: its realizations, keyed by request id, and the
     per-trial loads and exceptional totals of what has been committed.
@@ -122,12 +168,7 @@ class Trials:
     def __init__(self, inst, trials, seed, tau=None):
         if trials < 1:
             raise ValidationError(f"trials must be at least 1, got {trials}")
-        if isinstance(inst, ConfigInstance):
-            self.ids = [r.id for r in inst.requests]
-        elif isinstance(inst, (UnrelatedInstance, RelatedInstance, RoutingInstance)):
-            self.ids = list(range(inst.n))
-        else:
-            raise TypeError(f"cannot simulate on {type(inst).__name__}")
+        self.ids = request_ids(inst)
         if not isinstance(inst, UnrelatedInstance):  # an unrelated load is a finite law value
             check_float_loads(inst)
         self.position = {j: k for k, j in enumerate(self.ids)}
@@ -154,29 +195,17 @@ class Trials:
             effect = self._effects[key] = self._build(j, choice)
         return effect
 
-    def _position(self, j):
-        k = self.position.get(j)
-        if k is None:
-            raise ValidationError(f"policy chose request {j!r}; the instance has no such request")
-        return k
-
     def _build(self, j, choice):
         inst = self.inst
-        k = self._position(j)
+        k = _locate(self.position, j)
+        law = _law_of(inst, k, j, choice)
         if isinstance(inst, ConfigInstance):
-            configs = inst.requests[k].configs
-            _require(choice, len(configs), "configuration", f"request {j}")
-            config = configs[choice]
-            mult = [float(a) for a in config.multipliers]
+            mult = [float(a) for a in inst.requests[k].configs[choice].multipliers]
             resources = [i for i, a in enumerate(mult) if a]
-            return _effect(config.law, resources, [mult[i] for i in resources])
+            return _effect(law, resources, [mult[i] for i in resources])
         if isinstance(inst, RoutingInstance):
-            source, sink, law = inst.requests[k]
-            _require_path(inst, choice, source, sink, j)
             edges = sorted(choice)
             return _effect(law, edges, [1.0 / float(inst.edges[e][2]) for e in edges])
-        _require(choice, inst.m, "machine", f"request {j}")
-        law = inst.jobs[k][choice] if isinstance(inst, UnrelatedInstance) else inst.jobs[k]
         return _effect(law, [choice], [float(self.machine_mult[choice])])
 
     def uniform(self, j):
@@ -216,7 +245,7 @@ class Trials:
         per-machine float array (machine_mult), so a step costs a few array
         operations whatever the number of machines. ValidationError names
         an unknown request, or the smallest invalid machine."""
-        self._position(j)
+        _locate(self.position, j)
         m = self.inst.m
         choices = np.asarray(choices)
         invalid = choices[(choices < 0) | (choices >= m)]
@@ -272,60 +301,46 @@ class Trials:
 
 
 class NonAdaptiveAssignment:
-    """Fixed choice per request; runs in ascending request id order."""
+    """Fixed choice per request; runs in ascending request id order. Called
+    as a decision function (remaining ids, loads) -> (request, choice), as
+    cfgbal.oracle.evaluate_policy runs it."""
 
     def __init__(self, assignment):
         self.assignment = dict(assignment)
 
+    def __call__(self, remaining, loads):
+        j = min(remaining)
+        return j, self.assignment[j]
 
-class SimulationReport:
-    __slots__ = (
-        "trials",
-        "seed",
-        "mean_makespan",
-        "stderr",
-        "resource_means",
-        "mean_exceptional",
-    )
 
-    def __init__(self, trials, seed, mean_makespan, stderr, resource_means, mean_exceptional):
-        self.trials = trials
-        self.seed = seed
-        self.mean_makespan = mean_makespan
-        self.stderr = stderr
-        self.resource_means = resource_means
-        self.mean_exceptional = mean_exceptional
+class SimulationReport(NamedTuple):
+    trials: int
+    seed: int
+    mean_makespan: float
+    stderr: float
+    resource_means: list
+    mean_exceptional: float
 
     def as_dict(self):
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "mean_makespan": self.mean_makespan,
-            "stderr": self.stderr,
-            "resource_means": list(self.resource_means),
-            "mean_exceptional": self.mean_exceptional,
-        }
+        return {**self._asdict(), "resource_means": list(self.resource_means)}
 
 
 def simulate_policy(inst, policy, trials, seed, tau=None):
     """Estimate the expected makespan of a policy by independent trials.
 
-    A NonAdaptiveAssignment commits each request's realized column in
-    ascending id order, and must assign every request: ValidationError
-    names the smallest one it omits. Any other policy runs through its
-    simulate(trials) method, which commits into every trial of a Trials at
-    once; adaptive policies observe exactly the realizations of requests
-    they committed.
+    A NonAdaptiveAssignment must pass check_assignment, and then commits
+    each request's realized column in ascending id order. Any other policy
+    runs through its simulate(trials) method, which commits into every
+    trial of a Trials at once; adaptive policies observe exactly the
+    realizations of requests they committed.
     """
     sim = Trials(inst, trials, seed, tau)
     if isinstance(policy, NonAdaptiveAssignment):
+        check_assignment(inst, policy.assignment)
         for j in sorted(policy.assignment):
             choice = policy.assignment[j]
             law = sim.effect(j, choice).law
             sim.commit(None, j, choice, sim.realized(j, law))
-        missing = set(sim.ids).difference(policy.assignment)
-        if missing:
-            raise ValidationError(f"policy assigns no choice to request {min(missing)}")
         return sim.report(sim.loads.mean(axis=0))
     if not hasattr(policy, "simulate"):
         raise TypeError(f"{type(policy).__name__} has no batched simulate(trials) method")

@@ -5,10 +5,13 @@ and LP machinery so the tests cross-check two genuinely different routes to
 the same quantity.
 """
 
+import functools
+import importlib.util
 import json
 import math
 from fractions import Fraction
 from numbers import Rational
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,17 @@ import cfgbal.lp
 from cfgbal.lp import FEAS_TOL, LinearProgram, Infeasible, solve
 from cfgbal.instances import routing_to_config, NoFeasiblePath
 from cfgbal.simulate import request_stream
+
+
+@functools.cache
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's instance generators, loaded once
+    as the module perfbench_gen (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def tiny_rng(seed):
@@ -428,7 +442,7 @@ class ReferenceOracle:
         self._value[key] = best
         self._choice[key] = best_choice
         if len(self._value) > self.max_states:
-            raise self.exceeded(len(self._value), self.max_states)
+            raise self.exceeded(f"oracle state space {len(self._value)} exceeds limit {self.max_states}")
         return best
 
     def choice(self, remaining, loads):

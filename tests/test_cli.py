@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -6,9 +9,10 @@ from typing import NamedTuple
 
 import pytest
 
+import cfgbal
 from cfgbal.cli import main
+from cfgbal.distributions import CfgbalError, point_mass
 from cfgbal.instance_io import dumps_instance, read_instance
-from cfgbal.distributions import point_mass
 from cfgbal.instances import (
     Configuration,
     ConfigInstance,
@@ -315,6 +319,23 @@ def check_row(row, tmp_path, capsys):
         assert not NAN.search(text)
 
 
+class TestRefusals:
+    def test_every_exception_class_derives_from_the_base(self):
+        """main catches only CfgbalError and OSError, so every exception
+        class a cfgbal module defines must be a CfgbalError."""
+        defined = {}
+        for info in pkgutil.iter_modules(cfgbal.__path__):
+            module = importlib.import_module(f"cfgbal.{info.name}")
+            for name, cls in inspect.getmembers(module, inspect.isclass):
+                if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                    defined[name] = cls
+        assert {
+            "ValidationError", "ParseError", "NumericalFailure", "NoFeasibleTau",
+            "IncompletePolicy", "StateSpaceExceeded", "NoFeasiblePath",
+        } < set(defined)
+        assert [name for name, cls in defined.items() if not issubclass(cls, CfgbalError)] == []
+
+
 NAN_LAW = '{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [{"multipliers": [1], "law": [[NaN, 1]]}]}]}'
 INF_MULT = '{"kind": "config", "m": 1, "requests": [{"id": 0, "configs": [{"multipliers": [Infinity], "law": [[1, 1]]}]}]}'
 HUGE_LAW = (
@@ -389,6 +410,13 @@ ONE_CONFIG = '{"multipliers": [1], "law": [[1, 1]]}'
 
 def choices(mapping):
     return json.dumps({"choices": mapping})
+
+
+def chain_of(n):
+    """A configuration file of n requests with ids 0..n-1, each one config
+    [1] of law [[1, 1]]."""
+    request = '{"id": %d, "configs": [' + ONE_CONFIG + "]}"
+    return '{"kind": "config", "m": 1, "requests": [%s]}' % ", ".join(request % j for j in range(n))
 
 
 def each_argv(test, text, code, message, argvs):
@@ -530,11 +558,25 @@ CONTRACT = {
     # naming the omitted request, instead of simulating the rest
     "TestArgumentErrors::test_simulate_partial_policy": Row(TWO, SIMULATE, 1, "request 1", choices({"0": 0})),
     "TestArgumentErrors::test_oracle_eval_partial_policy": Row(
-        TWO, EVAL, 1, "error: no decision at remaining=[1]", choices({"0": 0})),
+        TWO, EVAL, 1, "error: policy assigns no choice to request 1", choices({"0": 0})),
     "TestArgumentErrors::test_simulate_partial_policy_on_the_readme_gap": Row(
         GAP4, SIMULATE, 1, "request 3", choices({"0": 0, "1": 1, "2": 2})),
     "TestArgumentErrors::test_oracle_eval_missing_choice": Row(
-        GAP2, EVAL, 1, "error: policy chose missing config 7 of request 1", choices({"0": 0, "1": 7})),
+        GAP2, EVAL, 1, "error: policy chose machine 7; request 1 has 2", choices({"0": 0, "1": 7})),
+    "TestArgumentErrors::test_oracle_eval_unknown_request": Row(
+        GAP2, EVAL, 1, "error: policy chose request 5; the instance has no such request", choices({"0": 0, "1": 0, "5": 0})),
+    # value iteration visits every subset of the requests, so 22 are
+    # refused at once; 1,000 would also pass Python's recursion limit
+    **{
+        f"TestStateSpace::test_exact_walk_refused[{what}-{n}]": Row(
+            chain_of(n), argv, 1, message, choices({str(j): 0 for j in range(n)}))
+        for what, n, argv, message in [
+            ("opt", 22, "oracle --in {in} --what opt", "error: 22 requests need at least 2**22 oracle states"),
+            ("opt", 1000, "oracle --in {in} --what opt", "error: 1000 requests need at least 2**1000 oracle states"),
+            ("restart", 1000, "oracle --in {in} --what restart --tau 4", "error: 1000 requests need at least 2**1000"),
+            ("eval", 1000, EVAL, "error: 1000 requests: the exact walk passes Python's recursion limit"),
+        ]
+    },
     **{
         f"TestArgumentErrors::test_oracle_non_positive_tau[{tau}]": Row(
             GAP2, f"oracle --in {{in}} --what opt --tau {tau}", 1, f"error: truncation threshold must be positive, got {tau}")

@@ -5,10 +5,8 @@ solve at the returned tau. A fresh solve that contradicts a verdict ending
 the search raises NumericalFailure; a zero upper bound opens no session; and no
 session keeps its solver past the search."""
 
-import importlib.util
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -24,12 +22,9 @@ from cfgbal.instances import (
 )
 from cfgbal.lp import Infeasible, NoFeasibleTau, NumericalFailure, min_feasible_tau
 
-from conftest import reference_min_feasible_tau, tiny_suite
+from conftest import perfbench_gen, reference_min_feasible_tau, tiny_suite
 
-_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN)
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
+gen = perfbench_gen()
 
 # past tau = 1, request 0's value 1 leaves the exceptional row for the
 # truncated row; the search returns 1.4 (tests/test_lp.py)

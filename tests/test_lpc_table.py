@@ -8,11 +8,9 @@ entries of the kept configurations, zeros included, which is what the
 warm-started session writes them by; and the table's looked-up values
 against the tail kernel itself."""
 
-import importlib.util
 import itertools
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,12 +30,9 @@ from cfgbal.instances import (
 )
 from cfgbal.lp import NumericalFailure, build_lpc, min_feasible_tau, solve_lpc, threshold_search
 
-from conftest import reference_build_lpc, reference_solve_lpc, tiny_suite
+from conftest import perfbench_gen, reference_build_lpc, reference_solve_lpc, tiny_suite
 
-_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN)
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
+gen = perfbench_gen()
 
 EXACT_TAUS = (Fraction(1, 2), 1, Fraction(7, 3), 4)
 FACTORS = (0.05, 0.3, 0.6, 0.9, 0.999, 1.0, 1.001, 1.5, 2.5)

@@ -13,6 +13,7 @@ from cfgbal.instances import (
     gen_clairvoyance_adversary_instance,
     unrelated_to_config,
 )
+from cfgbal import oracle as oracle_module
 from cfgbal.oracle import (
     AdaptiveOracle,
     IncompletePolicy,
@@ -22,11 +23,10 @@ from cfgbal.oracle import (
     always_fast,
     clairvoyance_adversary,
     evaluate_policy,
-    non_adaptive_policy,
     optimal_adaptive,
     restart_policy,
 )
-from cfgbal.simulate import simulate_policy
+from cfgbal.simulate import NonAdaptiveAssignment, simulate_policy
 
 from conftest import (
     brute_force_config_opt,
@@ -91,6 +91,20 @@ class TestOptimalAdaptive:
         with pytest.raises(StateSpaceExceeded):
             optimal_adaptive(inst, max_states=10)
 
+    def test_state_space_refused_up_front(self):
+        # value iteration visits every subset of the requests: 2**4 states
+        inst = ConfigInstance(1, [Request(j, [Configuration([1], point_mass(1))]) for j in range(4)])
+        oracle = AdaptiveOracle(inst, max_states=15)
+        with pytest.raises(StateSpaceExceeded, match=r"4 requests need at least 2\*\*4 oracle states"):
+            oracle.value()
+        assert not oracle._value
+        assert AdaptiveOracle(inst, max_states=16).value() == 4
+
+    def test_restart_refused_up_front(self):
+        inst = ConfigInstance(1, [Request(j, [Configuration([1], point_mass(1))]) for j in range(21)])
+        with pytest.raises(StateSpaceExceeded, match=r"21 requests need at least 2\*\*21 oracle states"):
+            restart_policy(inst, 42)
+
     def test_tree_text_golden(self):
         law = DiscreteDistribution([(0, Fraction(1, 2)), (2, Fraction(1, 2))])
         inst = ConfigInstance(1, [Request(0, [Configuration([1], law)])])
@@ -128,9 +142,23 @@ class TestEvaluatePolicy:
         with pytest.raises(IncompletePolicy):
             evaluate_policy(inst, lambda r, l: None, 1)
 
+    def test_state_bound(self, monkeypatch):
+        # request j adds 0 or 2**j, so each realized subset is its own load:
+        # 1 + 2 + 4 + 8 states before the leaves
+        inst = ConfigInstance(1, [
+            Request(j, [Configuration([1], DiscreteDistribution([(0, Fraction(1, 2)), (2**j, Fraction(1, 2))]))])
+            for j in range(4)
+        ])
+        policy = NonAdaptiveAssignment({j: 0 for j in range(4)})
+        monkeypatch.setattr(oracle_module, "MAX_STATES", 15)
+        assert evaluate_policy(inst, policy, 100).makespan == Fraction(15, 2)
+        monkeypatch.setattr(oracle_module, "MAX_STATES", 14)
+        with pytest.raises(StateSpaceExceeded, match="policy evaluation state space 15 exceeds limit 14"):
+            evaluate_policy(inst, policy, 100)
+
     def test_non_adaptive_assignment(self):
         u = UnrelatedInstance(2, [(point_mass(1), point_mass(5))])
-        pv = evaluate_policy(u, non_adaptive_policy({0: 1}), 10)
+        pv = evaluate_policy(u, NonAdaptiveAssignment({0: 1}), 10)
         assert pv.makespan == 5
 
 
@@ -146,7 +174,7 @@ class TestWalkersMatchBruteForce:
             assert oracle.value() == opt
             if opt == 0:
                 continue
-            fixed = non_adaptive_policy({r.id: len(r.configs) - 1 for r in inst.requests})
+            fixed = NonAdaptiveAssignment({r.id: len(r.configs) - 1 for r in inst.requests})
             got = [
                 evaluate_policy(inst, oracle.policy(), opt),
                 evaluate_policy(inst, fixed, opt),

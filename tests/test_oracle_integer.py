@@ -14,11 +14,10 @@ from cfgbal.oracle import (
     RestartPolicy,
     StateSpaceExceeded,
     evaluate_policy,
-    non_adaptive_policy,
     outcome_table,
     to_config_instance,
 )
-from cfgbal.simulate import simulate_adaptive_config
+from cfgbal.simulate import NonAdaptiveAssignment, simulate_adaptive_config
 
 from conftest import (
     ReferenceOracle,
@@ -108,7 +107,7 @@ def test_integer_walkers_match_fraction_references(inst, data):
     assert oracle.choice(sub, loads) == ref.choice(sub, loads)
 
     tau = data.draw(st.sampled_from([opt or 1, Fraction(1, 3), 0.75, 2]))
-    fixed = non_adaptive_policy({r.id: len(r.configs) - 1 for r in inst.requests})
+    fixed = NonAdaptiveAssignment({r.id: len(r.configs) - 1 for r in inst.requests})
     for policy in (oracle.policy(), fixed):
         got = evaluate_policy(inst, policy, tau)
         assert tuple(got) == reference_evaluate_policy(inst, policy, tau)

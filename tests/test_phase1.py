@@ -7,10 +7,8 @@ master's one-column shortcut gives HiGHS's verdict and weights bit for bit.
 Non-finite input, a coefficient past HiGHS's limit, a failed model and a
 solution that breaks a row raise NumericalFailure."""
 
-import importlib.util
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,12 +32,9 @@ from cfgbal.lp import (
     solve_lpc,
 )
 
-from conftest import reference_min_feasible_tau, reference_phase1
+from conftest import perfbench_gen, reference_min_feasible_tau, reference_phase1
 
-_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN)
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
+gen = perfbench_gen()
 
 
 def dense_program(program):

@@ -21,7 +21,6 @@ from cfgbal.offline import GroupListSchedulePolicy, offline_related
 from cfgbal.oracle import (
     RestartPolicy,
     evaluate_policy,
-    non_adaptive_policy,
     optimal_adaptive,
     restart_policy,
 )
@@ -139,7 +138,7 @@ class TestSimulatePolicy:
         total = 0
         for k, inst in enumerate(tiny_suite("config", 12, seed=901)):
             assignment = {j: 0 for j in range(inst.n)}
-            exact = evaluate_policy(inst, non_adaptive_policy(assignment), Fraction(1))
+            exact = evaluate_policy(inst, NonAdaptiveAssignment(assignment), Fraction(1))
             rep = simulate_policy(
                 inst, NonAdaptiveAssignment(assignment), 20_000, seed=100 + k
             )
@@ -270,7 +269,7 @@ class TestRequestIds:
     def test_request_id_not_a_position(self):
         inst = ConfigInstance(1, [Request(7, [Configuration([1], point_mass(1))])])
         rep = simulate_policy(inst, NonAdaptiveAssignment({7: 0}), 10, 0)
-        exact = evaluate_policy(inst, non_adaptive_policy({7: 0}), 10)
+        exact = evaluate_policy(inst, NonAdaptiveAssignment({7: 0}), 10)
         assert rep.mean_makespan == exact.makespan == 1
 
     def test_unknown_and_duplicate_ids(self):
@@ -312,7 +311,7 @@ class TestRequestIds:
         configs = [Configuration([1, 0], law), Configuration([0, 1], law)]
         inst = ConfigInstance(2, [Request(j, configs) for j in (5, 3, 9)])
         fixed = {5: 0, 3: 1, 9: 0}
-        exact = evaluate_policy(inst, non_adaptive_policy(fixed), 2)
+        exact = evaluate_policy(inst, NonAdaptiveAssignment(fixed), 2)
         rep = simulate_policy(inst, NonAdaptiveAssignment(fixed), 20_000, 4, tau=2.0)
         assert rep.mean_makespan == pytest.approx(float(exact.makespan), abs=4 * rep.stderr)
         assert rep.mean_exceptional == pytest.approx(float(exact.exceptional), abs=0.1)
